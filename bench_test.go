@@ -183,10 +183,10 @@ func ablate(b *testing.B, mod func(*harness.SystemDef), threads int) {
 		if mod != nil {
 			mod(&sys)
 		}
-		run, err := harness.Execute(harness.Spec{
+		run, err := harness.ExecuteWith(harness.Spec{
 			System: sys, Workload: wl, Threads: threads,
 			Cache: harness.TypicalCache(), Seed: 1,
-		})
+		}, harness.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,10 +228,10 @@ func BenchmarkAblationSignature(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys, _ := harness.SystemByName("LockillerTM")
 				sys.HTM.SignatureBits = bits
-				run, err := harness.Execute(harness.Spec{
+				run, err := harness.ExecuteWith(harness.Spec{
 					System: sys, Workload: wl, Threads: 8,
 					Cache: harness.TypicalCache(), Seed: 1,
-				})
+				}, harness.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -386,7 +386,7 @@ func BenchmarkScalingCores(b *testing.B) {
 				if cores > 64 {
 					s.ClusterSize = 16
 				}
-				res, err := harness.Execute(s)
+				res, err := harness.ExecuteWith(s, harness.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -417,33 +417,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// BenchmarkParallelSimulatorThroughput is BenchmarkSimulatorThroughput on
-// the sharded tile-parallel engine (DESIGN.md §11) at 4 workers — same
-// workload, same bit-identical results, different engine structure. The
-// sequential/parallel ratio is only meaningful when the host grants the
-// process 4+ CPUs; on fewer cores the sharded engine measures pure
-// coordination overhead (see DESIGN.md §11 for the recorded outcome).
-func BenchmarkParallelSimulatorThroughput(b *testing.B) {
-	wl := stamp.Kmeans()
-	sys, _ := harness.SystemByName("LockillerTM")
-	var cycles, events, spans uint64
-	for i := 0; i < b.N; i++ {
-		p := coherence.DefaultParams()
-		cfg := cpu.Config{Machine: p, HTM: sys.HTM, Sync: sys.Sync, Threads: 8, Seed: 1, Limit: 4_000_000_000, Par: 4}
-		m := cpu.NewMachine(cfg, sys.Name, wl.Name, stamp.Programs(wl, 8, 1))
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.ExecCycles
-		events += m.Engine.Executed()
-		spans += m.Engine.ParSpans()
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
 }
 
 // BenchmarkFusedHitChain measures the steady-state per-op cost of the
@@ -508,7 +481,7 @@ func BenchmarkTelemetryDisabledOverhead(b *testing.B) {
 	spec := telemetryBenchSpec(b)
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.ExecuteInstrumented(spec, nil, nil)
+		res, err := harness.ExecuteWith(spec, harness.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -525,7 +498,7 @@ func BenchmarkTelemetryEnabledOverhead(b *testing.B) {
 	var cycles, samples uint64
 	for i := 0; i < b.N; i++ {
 		tel := telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true})
-		res, err := harness.ExecuteInstrumented(spec, nil, tel)
+		res, err := harness.ExecuteWith(spec, harness.ExecOptions{Telemetry: tel})
 		if err != nil {
 			b.Fatal(err)
 		}

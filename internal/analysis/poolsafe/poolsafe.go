@@ -10,13 +10,12 @@
 // function body: release sinks generate "freed" facts for the argument
 // variable, reassignment kills them, and branches merge by union (freed on
 // any path counts, except paths that terminate in return/break/continue).
-// Sink summaries ride the shared interprocedural layer: a whole-program
-// Facts entry (SinksFact), computed once over the analysis.CallGraph, maps
-// each function to the parameter indices it transitively releases — a
-// function whose body passes a parameter to a base sink, or to any already
-// summarized sink, is itself a sink for that parameter (fixpoint), so a
-// value "flowing through helpers before free" is tracked across packages
-// and at any depth, not one level as the pre-Facts version did.
+// Sink summaries are a whole-load Facts entry (SinksFact), computed once over
+// every function declaration in the load, mapping each function to the
+// parameter indices it transitively releases — a function whose body passes
+// a parameter to a base sink, or to any already summarized sink, is itself a
+// sink for that parameter (fixpoint), so a value "flowing through helpers
+// before free" is tracked across packages and at any depth.
 //
 // A flagged flow that is provably safe can be waived with //lockiller:pool-ok
 // plus a justification.
@@ -45,10 +44,7 @@ var baseSinks = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	helpers, err := SinkSummaries(pass.Prog)
-	if err != nil {
-		return err
-	}
+	helpers := SinkSummaries(pass.Prog)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -77,71 +73,80 @@ func run(pass *analysis.Pass) error {
 const SinksFact = "poolsafe.sinks"
 
 // SinkSummaries computes (once per run, via the Facts store) which functions
-// release which of their parameters, walking the shared call graph to a
-// fixpoint: the seed is the base sinks matched by name, and a function that
-// passes parameter i into the freed slot of any known sink is itself a sink
-// for i. Other analyzers can reuse the result through SinksFact.
-func SinkSummaries(prog *analysis.Program) (map[*types.Func][]int, error) {
-	v, err := prog.Fact(SinksFact, func(prog *analysis.Program) (any, error) {
-		g, err := analysis.BuildCallGraph(prog)
-		if err != nil {
-			return nil, err
-		}
+// release which of their parameters, walking every function declaration of
+// the load to a fixpoint: the seed is the base sinks matched by name, and a
+// function that passes parameter i into the freed slot of any known sink is
+// itself a sink for i. Facts only grow, so the fixpoint does not depend on
+// the order declarations are visited in.
+func SinkSummaries(prog *analysis.Program) map[*types.Func][]int {
+	return prog.Fact(SinksFact, func(prog *analysis.Program) any {
 		sums := make(map[*types.Func][]int)
 		for changed := true; changed; {
 			changed = false
-			for _, n := range g.Nodes() {
-				if n.Obj == nil || n.Decl == nil || n.Decl.Body == nil || baseSinks[n.Obj.Name()] {
-					continue
-				}
-				params := make(map[types.Object]int)
-				i := 0
-				for _, field := range n.Decl.Type.Params.List {
-					for _, name := range field.Names {
-						if obj := n.Pkg.Info.Defs[name]; obj != nil {
-							params[obj] = i
-						}
-						i++
-					}
-				}
-				if len(params) == 0 {
-					continue
-				}
-				freeSet := make(map[int]bool)
-				for _, idx := range sums[n.Obj] {
-					freeSet[idx] = true
-				}
-				ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-					call, ok := x.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					for _, arg := range freedArgsOf(call, n.Pkg.Info, sums) {
-						if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-							if idx, ok := params[n.Pkg.Info.Uses[id]]; ok && !freeSet[idx] {
-								freeSet[idx] = true
-								changed = true
-							}
+			for _, pkg := range prog.Pkgs {
+				for _, f := range pkg.Files {
+					for _, d := range f.Decls {
+						fd, ok := d.(*ast.FuncDecl)
+						if ok && summarize(fd, pkg.Info, sums) {
+							changed = true
 						}
 					}
-					return true
-				})
-				if len(freeSet) > 0 {
-					frees := make([]int, 0, len(freeSet))
-					for idx := range freeSet {
-						frees = append(frees, idx)
-					}
-					sort.Ints(frees)
-					sums[n.Obj] = frees
 				}
 			}
 		}
-		return sums, nil
-	})
-	if err != nil {
-		return nil, err
+		return sums
+	}).(map[*types.Func][]int)
+}
+
+// summarize adds to sums[fd] every parameter index fd passes into the freed
+// slot of a known sink, reporting whether it learned anything new.
+func summarize(fd *ast.FuncDecl, info *types.Info, sums map[*types.Func][]int) bool {
+	obj, _ := info.Defs[fd.Name].(*types.Func)
+	if obj == nil || fd.Body == nil || baseSinks[obj.Name()] {
+		return false
 	}
-	return v.(map[*types.Func][]int), nil
+	params := make(map[types.Object]int)
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if p := info.Defs[name]; p != nil {
+				params[p] = i
+			}
+			i++
+		}
+	}
+	if len(params) == 0 {
+		return false
+	}
+	freeSet := make(map[int]bool)
+	for _, idx := range sums[obj] {
+		freeSet[idx] = true
+	}
+	changed := false
+	ast.Inspect(fd.Body, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		for _, arg := range freedArgsOf(call, info, sums) {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+				if idx, ok := params[info.Uses[id]]; ok && !freeSet[idx] {
+					freeSet[idx] = true
+					changed = true
+				}
+			}
+		}
+		return true
+	})
+	if changed {
+		frees := make([]int, 0, len(freeSet))
+		for idx := range freeSet {
+			frees = append(frees, idx)
+		}
+		sort.Ints(frees)
+		sums[obj] = frees
+	}
+	return changed
 }
 
 func isBaseSink(call *ast.CallExpr) bool {

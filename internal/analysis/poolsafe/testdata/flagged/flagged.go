@@ -31,6 +31,13 @@ func (s *System) free(m *Msg) {
 	s.msgFree = append(s.msgFree, m)
 }
 
+// release reaches the sink two helpers deep (release -> finish -> free). It
+// is declared before finish, so only a second pass of the sink fixpoint
+// learns that it frees.
+func (s *System) release(m *Msg) {
+	s.finish(m)
+}
+
 // finish is a helper that forwards its parameter to the sink: callers lose
 // ownership exactly as if they had called free directly.
 func (s *System) finish(m *Msg) {
@@ -56,6 +63,13 @@ func doubleFree(s *System) {
 func helperThenUse(s *System) uint64 {
 	m := s.alloc()
 	s.finish(m)
+	return m.Line // want `use of m after it was freed`
+}
+
+// deepHelperThenUse loses ownership two helpers deep, then reads anyway.
+func deepHelperThenUse(s *System) uint64 {
+	m := s.alloc()
+	s.release(m)
 	return m.Line // want `use of m after it was freed`
 }
 

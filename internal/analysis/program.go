@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -10,27 +9,20 @@ import (
 )
 
 // A Program is the whole-load view shared by every analyzer in one run: all
-// loaded packages under one FileSet, a memoized Facts store so expensive
-// derived structures (call graph, function summaries) are built once and
-// reused across analyzers, and the global waiver index with per-comment
-// used/unused tracking for the stale-waiver audit.
-//
-// Per-package analyzers keep receiving a Pass (with Pass.Prog pointing here);
-// whole-program analyzers implement Analyzer.RunProgram instead and are
-// invoked once per run.
+// loaded packages under one FileSet, a memoized Facts store so whole-load
+// structures (poolsafe's sink summaries) are built once per run, and the
+// global waiver index with per-comment used/unused tracking for the
+// stale-waiver audit. Analyzers reach it through Pass.Prog.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
 	// ModRoot, when set, is stripped from filenames by RelPath so exported
-	// artifacts (JSON diagnostics, the crosstile inventory) are stable
-	// across checkouts. Empty for fixture loads.
+	// artifacts (JSON diagnostics) are stable across checkouts. Empty for
+	// fixture loads.
 	ModRoot string
 
-	diags *[]Diagnostic
-
-	facts        map[string]any
-	factBuilding map[string]bool
+	facts map[string]any
 
 	waivers map[string]map[int][]*waiverSite // filename -> line -> directives
 }
@@ -48,22 +40,12 @@ type WaiverSite struct {
 	Pos       token.Position
 }
 
-// annotationDirectives are declarative markers, not suppressions: they state
-// facts about types or dispatch sites that analyzers consume as input, so the
-// stale-waiver audit never reports them.
-var annotationDirectives = map[string]bool{
-	DirectiveTileState:     true,
-	DirectiveSharedState:   true,
-	DirectiveOwnerDispatch: true,
-}
-
 // NewProgram indexes the packages of one analysis run. All packages must
 // share one FileSet (true for Loader loads and for fixture loads).
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		facts:        make(map[string]any),
-		factBuilding: make(map[string]bool),
-		waivers:      make(map[string]map[int][]*waiverSite),
+		facts:   make(map[string]any),
+		waivers: make(map[string]map[int][]*waiverSite),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -132,34 +114,14 @@ func (prog *Program) WaivedAt(pos token.Pos, directive string) bool {
 	return hit
 }
 
-// DirectiveAt reports whether a directive comment sits on the line of pos or
-// the line above it, without marking it used. Annotation directives
-// (tile-state, shared-state, owner-dispatch) are looked up this way.
-func (prog *Program) DirectiveAt(pos token.Pos, directive string) bool {
-	p := prog.Fset.Position(pos)
-	lines := prog.waivers[p.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		for _, w := range lines[l] {
-			if w.Directive == directive {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// UnusedWaivers returns every suppression waiver comment that matched zero
-// diagnostics in this run, sorted by file, line, then directive. Annotation
-// directives are excluded: they are inputs, not suppressions.
+// UnusedWaivers returns every waiver comment that matched zero diagnostics
+// in this run, sorted by file, line, then directive.
 func (prog *Program) UnusedWaivers() []WaiverSite {
 	var out []WaiverSite
 	for _, lines := range prog.waivers {
 		for _, ws := range lines {
 			for _, w := range ws {
-				if !w.Used && !annotationDirectives[w.Directive] {
+				if !w.Used {
 					out = append(out, WaiverSite{Directive: w.Directive, Pos: w.Pos})
 				}
 			}
@@ -179,56 +141,15 @@ func (prog *Program) UnusedWaivers() []WaiverSite {
 }
 
 // Fact returns the memoized result of build for key, computing it on first
-// use. One analyzer's derived structures (call graph, summaries) become
-// reusable by every other analyzer in the same run.
-func (prog *Program) Fact(key string, build func(*Program) (any, error)) (any, error) {
-	if v, ok := prog.facts[key]; ok {
-		return v, nil
-	}
-	if prog.factBuilding[key] {
-		return nil, fmt.Errorf("analysis: fact cycle through %q", key)
-	}
-	prog.factBuilding[key] = true
-	defer delete(prog.factBuilding, key)
-	v, err := build(prog)
-	if err != nil {
-		return nil, err
-	}
-	prog.facts[key] = v
-	return v, nil
-}
-
-// PeekFact returns a fact if it was already computed this run.
-func (prog *Program) PeekFact(key string) (any, bool) {
+// use, so a whole-load structure is built once per run rather than once per
+// package pass.
+func (prog *Program) Fact(key string, build func(*Program) any) any {
 	v, ok := prog.facts[key]
-	return v, ok
-}
-
-// PackageByName returns the loaded package whose name or import-path tail
-// matches name, or nil.
-func (prog *Program) PackageByName(name string) *Package {
-	for _, pkg := range prog.Pkgs {
-		if pkg.Types.Name() == name || pathTail(pkg.Path) == name {
-			return pkg
-		}
+	if !ok {
+		v = build(prog)
+		prog.facts[key] = v
 	}
-	return nil
-}
-
-// Reportf records a diagnostic at a token position on behalf of a
-// whole-program analyzer.
-func (prog *Program) Reportf(analyzer string, pos token.Pos, format string, args ...any) {
-	prog.ReportAtPosition(analyzer, prog.Fset.Position(pos), format, args...)
-}
-
-// ReportAtPosition records a diagnostic at an explicit file position — used
-// for findings in non-Go inputs such as the crosstile registry file.
-func (prog *Program) ReportAtPosition(analyzer string, pos token.Position, format string, args ...any) {
-	*prog.diags = append(*prog.diags, Diagnostic{
-		Analyzer: analyzer,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	return v
 }
 
 // RelPath renders filename relative to the module root when known; exported

@@ -53,7 +53,7 @@ func TestGoldenCycleCounts(t *testing.T) {
 				sysName, wl, th := sysName, wl, th
 				t.Run(fmt.Sprintf("%s/%s/%d", sysName, wl.Name, th), func(t *testing.T) {
 					t.Parallel()
-					run, err := Execute(Spec{System: sys, Workload: wl, Threads: th, Cache: TypicalCache(), Seed: 1})
+					run, err := ExecuteWith(Spec{System: sys, Workload: wl, Threads: th, Cache: TypicalCache(), Seed: 1}, ExecOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -73,11 +73,11 @@ func TestGoldenCycleCounts(t *testing.T) {
 func TestRepeatedRunsIdentical(t *testing.T) {
 	spec := Spec{System: mustSystem("LockillerTM"), Workload: stamp.Intruder(),
 		Threads: 4, Cache: TypicalCache(), Seed: 1}
-	a, err := Execute(spec)
+	a, err := ExecuteWith(spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(spec)
+	b, err := ExecuteWith(spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

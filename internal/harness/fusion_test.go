@@ -23,12 +23,12 @@ func TestGoldenCycleCountsFusionOff(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%d", sysName, wl.Name, th), func(t *testing.T) {
 					t.Parallel()
 					spec := Spec{System: sys, Workload: wl, Threads: th, Cache: TypicalCache(), Seed: 1}
-					on, err := Execute(spec)
+					on, err := ExecuteWith(spec, ExecOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					spec.DisableFusion = true
-					off, err := Execute(spec)
+					off, err := ExecuteWith(spec, ExecOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}

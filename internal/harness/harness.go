@@ -110,11 +110,6 @@ type Spec struct {
 	// §10). Results are bit-for-bit identical either way — the knob exists
 	// for the fusion equivalence tests and as a diagnostic escape hatch.
 	DisableFusion bool
-	// Par, when positive, runs on the sharded tile-parallel engine with
-	// that many tile groups (DESIGN.md §11). Bit-for-bit identical to the
-	// sequential engine, but key-affecting so differential tests can hold
-	// both results at once.
-	Par int
 	// Cores, Topo, MeshW/MeshH, and ClusterSize override the Table I
 	// machine shape (32 cores, 4x8 mesh, flat directory) for scaling runs
 	// (DESIGN.md §13). Zero values keep the defaults — and the memo keys
@@ -132,9 +127,6 @@ func (s Spec) key() string {
 	k := fmt.Sprintf("%s|%s|%d|%s|%d", s.System.Name, s.Workload.Name, s.Threads, s.Cache.Name, s.Seed)
 	if s.DisableFusion {
 		k += "|nofuse"
-	}
-	if s.Par > 0 {
-		k += fmt.Sprintf("|par%d", s.Par)
 	}
 	if s.Cores > 0 {
 		k += fmt.Sprintf("|cores%d", s.Cores)
@@ -163,9 +155,6 @@ func (s Spec) poolKey() string {
 	k := fmt.Sprintf("%s|%d|%s", s.System.Name, s.Threads, s.Cache.Name)
 	if s.DisableFusion {
 		k += "|nofuse"
-	}
-	if s.Par > 0 {
-		k += fmt.Sprintf("|par%d", s.Par)
 	}
 	if s.Cores > 0 {
 		k += fmt.Sprintf("|cores%d", s.Cores)
@@ -227,21 +216,6 @@ func (s Spec) MachineParams() coherence.Params {
 	return p
 }
 
-// Execute runs one simulation to completion.
-func Execute(s Spec) (*stats.Run, error) { return ExecuteWith(s, ExecOptions{}) }
-
-// ExecuteTraced is Execute with an optional event tracer attached.
-func ExecuteTraced(s Spec, tracer *trace.Tracer) (*stats.Run, error) {
-	return ExecuteWith(s, ExecOptions{Tracer: tracer})
-}
-
-// ExecuteInstrumented is Execute with an optional event tracer and an
-// optional telemetry instance attached. Both may be nil; a non-nil telemetry
-// gets its Meta stamped from the spec and is ready for export after the run.
-func ExecuteInstrumented(s Spec, tracer *trace.Tracer, tel *telemetry.Telemetry) (*stats.Run, error) {
-	return ExecuteWith(s, ExecOptions{Tracer: tracer, Telemetry: tel})
-}
-
 // ExecOptions bundles the optional instrumentation of one execution. The
 // zero value runs bare.
 type ExecOptions struct {
@@ -256,7 +230,8 @@ type ExecOptions struct {
 	Probe obs.EngineProbe
 }
 
-// ExecuteWith runs one simulation with the given instrumentation.
+// ExecuteWith runs one simulation to completion with the given
+// instrumentation (ExecOptions{} runs bare).
 func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
 	return NewMachineFor(s, opts).Run()
 }
@@ -277,7 +252,6 @@ func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 		Telemetry:     opts.Telemetry,
 		Probe:         opts.Probe,
 		DisableFusion: s.DisableFusion,
-		Par:           s.Par,
 	}
 	if tel := opts.Telemetry; tel != nil {
 		tel.Meta = telemetry.Meta{
@@ -297,10 +271,6 @@ type Runner struct {
 	Workers int
 	// Log, when non-nil, receives one line per completed simulation.
 	Log func(string)
-	// Par, when positive, is the default tile-parallel worker count
-	// stamped onto every spec that does not choose its own (Spec.Par ==
-	// 0). It is key-affecting, exactly as if each spec had carried it.
-	Par int
 	// Reuse pools constructed machines by shape (Spec.poolKey) and
 	// Resets them in place for each later spec of the same shape instead
 	// of rebuilding (DESIGN.md §15). Key-neutral: reset-then-run is
@@ -327,7 +297,7 @@ type Runner struct {
 	Profiler *obs.Profiler
 
 	// exec runs one spec; tests may replace it before first use. Defaults
-	// to Execute (with the self-profiler probe when Profiler is set).
+	// to ExecuteWith (with the self-profiler probe when Profiler is set).
 	exec func(Spec) (*stats.Run, error)
 
 	mu       sync.Mutex
@@ -387,10 +357,7 @@ func WorkersFromEnv() int {
 }
 
 // DefaultWorkers resolves the runner worker count: an explicit positive
-// flag value wins, then LOCKILLER_WORKERS, then one worker per CPU. This is
-// the outer, spec-level parallelism budget; it composes multiplicatively
-// with any inner tile-level parallelism (Spec.Par), so front-ends that
-// enable both should split the CPU budget between the two layers.
+// flag value wins, then LOCKILLER_WORKERS, then one worker per CPU.
 func DefaultWorkers(flagVal int) int {
 	if flagVal > 0 {
 		return flagVal
@@ -401,14 +368,9 @@ func DefaultWorkers(flagVal int) int {
 	return runtime.NumCPU()
 }
 
-// stamp normalizes a spec for this runner: the runner's seed always wins,
-// and the runner-level Par default applies to specs that don't set their
-// own.
+// stamp normalizes a spec for this runner: the runner's seed always wins.
 func (r *Runner) stamp(s Spec) Spec {
 	s.Seed = r.Seed
-	if s.Par == 0 {
-		s.Par = r.Par
-	}
 	return s
 }
 
@@ -417,10 +379,10 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		return r.exec(s)
 	}
 	if r.Profiler != nil {
-		// Each run gets a private probe (the engine requires single-token
-		// access); the sweep-level aggregate locks on merge. Machine.Reset
-		// refuses observer-attached machines, so the profiled path always
-		// builds fresh and never touches the pool.
+		// Each run gets a private probe (probes are not safe for
+		// concurrent use); the sweep-level aggregate locks on merge.
+		// Machine.Reset refuses observer-attached machines, so the profiled
+		// path always builds fresh and never touches the pool.
 		p := obs.NewProfiler()
 		res, err := ExecuteWith(s, ExecOptions{Probe: p})
 		r.Profiler.Merge(p)
@@ -429,7 +391,7 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 	if r.Reuse {
 		return r.executeReused(s)
 	}
-	return Execute(s)
+	return ExecuteWith(s, ExecOptions{})
 }
 
 // executeReused satisfies one spec from the machine pool: take a machine of
@@ -531,7 +493,6 @@ func LedgerRecord(s Spec, res *stats.Run, err error, wall time.Duration, mem obs
 		CacheHit:        cacheSrc != "",
 		CacheSrc:        cacheSrc,
 		Key:             s.Key(),
-		ParWorkers:      s.Par,
 		Seed:            s.Seed,
 		WallNS:          int64(wall),
 		GCCycles:        mem.GCCycles,

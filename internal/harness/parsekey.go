@@ -54,10 +54,6 @@ func ParseKey(key string) (Spec, error) {
 		switch {
 		case p == "nofuse":
 			s.DisableFusion = true
-		case strings.HasPrefix(p, "par"):
-			if s.Par, err = atoiPositive(p[len("par"):]); err != nil {
-				return Spec{}, fmt.Errorf("harness: key %q: bad suffix %q", key, p)
-			}
 		case strings.HasPrefix(p, "cores"):
 			if s.Cores, err = atoiPositive(p[len("cores"):]); err != nil {
 				return Spec{}, fmt.Errorf("harness: key %q: bad suffix %q", key, p)

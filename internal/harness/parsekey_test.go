@@ -16,14 +16,13 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		func(s *Spec) { s.System = mustSystem("CGL"); s.Workload = stamp.VacationHigh() },
 		func(s *Spec) { s.Cache = SmallCache(); s.Seed = 1 },
 		func(s *Spec) { s.DisableFusion = true },
-		func(s *Spec) { s.Par = 4 },
-		func(s *Spec) { s.DisableFusion = true; s.Par = 2; s.Cores = 128 },
+		func(s *Spec) { s.DisableFusion = true; s.Cores = 128 },
 		func(s *Spec) { s.Cores = 64; s.Topo = "torus" },
 		func(s *Spec) { s.Topo = "cmesh"; s.ClusterSize = 8 },
 		func(s *Spec) { s.MeshW, s.MeshH = 8, 16 },
 		func(s *Spec) {
 			s.DisableFusion = true
-			s.Par, s.Cores, s.Topo, s.MeshW, s.MeshH, s.ClusterSize = 2, 256, "mesh", 16, 16, 4
+			s.Cores, s.Topo, s.MeshW, s.MeshH, s.ClusterSize = 256, "mesh", 16, 16, 4
 		},
 	}
 	for i, v := range variants {
@@ -44,19 +43,21 @@ func TestParseKeyRoundTrip(t *testing.T) {
 func TestParseKeyRejects(t *testing.T) {
 	bad := []string{
 		"",
-		"CGL|intruder|2|typical",                  // too few parts
-		"NoSuchSystem|intruder|2|typical|1",       // unknown system
-		"CGL|nosuchworkload|2|typical|1",          // unknown workload
-		"CGL|intruder|zero|typical|1",             // non-numeric threads
-		"CGL|intruder|0|typical|1",                // non-positive threads
-		"CGL|intruder|2|gigantic|1",               // unknown cache config
-		"CGL|intruder|2|typical|minusone",         // bad seed
-		"CGL|intruder|2|typical|1|bogus",          // unknown suffix
-		"CGL|intruder|2|typical|1|par0",           // non-positive par
-		"CGL|intruder|2|typical|1|topo",           // empty topo
-		"CGL|intruder|2|typical|1|grid8",          // malformed grid
-		"CGL|intruder|2|typical|1|cores-4",        // negative cores
-		"CGL|intruder|2|typical|1|clx",            // non-numeric cluster
+		"CGL|intruder|2|typical",                               // too few parts
+		"NoSuchSystem|intruder|2|typical|1",                    // unknown system
+		"CGL|nosuchworkload|2|typical|1",                       // unknown workload
+		"CGL|intruder|zero|typical|1",                          // non-numeric threads
+		"CGL|intruder|0|typical|1",                             // non-positive threads
+		"CGL|intruder|2|gigantic|1",                            // unknown cache config
+		"CGL|intruder|2|typical|minusone",                      // bad seed
+		"CGL|intruder|2|typical|1|bogus",                       // unknown suffix
+		"CGL|intruder|2|typical|1|par4",                        // retired tile-parallel engine
+		"CGL|intruder|2|typical|1|nofuse|par2",                 // retired suffix after a live one
+		"LockillerTM|intruder|16|typical|1|par4|cores256|cl16", // retired suffix mid-key
+		"CGL|intruder|2|typical|1|topo",                        // empty topo
+		"CGL|intruder|2|typical|1|grid8",                       // malformed grid
+		"CGL|intruder|2|typical|1|cores-4",                     // negative cores
+		"CGL|intruder|2|typical|1|clx",                         // non-numeric cluster
 	}
 	for _, key := range bad {
 		if _, err := ParseKey(key); err == nil {
@@ -65,7 +66,7 @@ func TestParseKeyRejects(t *testing.T) {
 	}
 	// Out-of-canonical-order suffixes parse (the loop is order-blind) but
 	// fail the round-trip check Load applies.
-	key := "CGL|intruder|2|typical|1|par2|nofuse"
+	key := "CGL|intruder|2|typical|1|cores64|nofuse"
 	s, err := ParseKey(key)
 	if err != nil {
 		t.Fatalf("ParseKey(%q): %v", key, err)

@@ -75,14 +75,15 @@ func TestMachineParamsOverrides(t *testing.T) {
 
 // TestScaling256Deterministic runs a 256-core, two-level-directory machine
 // on one workload per system class — lock-based (CGL), plain best-effort
-// HTM (Baseline), and the full proposal (LockillerTM) — sequentially and
-// on the sharded engine, and requires the two runs to be identical. This
-// is the scaled counterpart of the golden-matrix parity tests; CI's
-// nightly job runs it under -race.
+// HTM (Baseline), and the full proposal (LockillerTM) — twice, and requires
+// the two runs to be identical and to match the pinned cycle counts. This
+// is the scaled counterpart of the golden matrix; CI's nightly job runs it
+// under -race.
 func TestScaling256Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-core runs are not -short tests")
 	}
+	pinned := map[string]uint64{"CGL": 2846472, "Baseline": 2086474, "LockillerTM": 670367}
 	for _, name := range []string{"CGL", "Baseline", "LockillerTM"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -90,17 +91,19 @@ func TestScaling256Deterministic(t *testing.T) {
 			spec := Spec{System: mustSystem(name), Workload: stamp.Intruder(),
 				Threads: 16, Cache: TypicalCache(), Seed: 1,
 				Cores: 256, ClusterSize: 16}
-			seq, err := Execute(spec)
+			first, err := ExecuteWith(spec, ExecOptions{})
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("first run: %v", err)
 			}
-			spec.Par = 4
-			par, err := Execute(spec)
+			second, err := ExecuteWith(spec, ExecOptions{})
 			if err != nil {
-				t.Fatalf("par=4: %v", err)
+				t.Fatalf("second run: %v", err)
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("256-core stats.Run diverged between engines\nseq: %+v\npar: %+v", seq, par)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("256-core stats.Run diverged between identical runs\nfirst : %+v\nsecond: %+v", first, second)
+			}
+			if first.ExecCycles != pinned[name] {
+				t.Errorf("ExecCycles = %d, want %d", first.ExecCycles, pinned[name])
 			}
 		})
 	}

@@ -55,11 +55,13 @@ func SpeedupSeeds(sys SystemDef, wl stamp.Profile, threads int, cache CacheConfi
 	}
 	var sps []float64
 	for _, seed := range seeds {
-		cgl, err := Execute(Spec{System: mustSystem("CGL"), Workload: wl, Threads: threads, Cache: cache, Seed: seed})
+		cgl, err := ExecuteWith(Spec{System: mustSystem("CGL"), Workload: wl,
+			Threads: threads, Cache: cache, Seed: seed}, ExecOptions{})
 		if err != nil {
 			return SeedStats{}, err
 		}
-		run, err := Execute(Spec{System: sys, Workload: wl, Threads: threads, Cache: cache, Seed: seed})
+		run, err := ExecuteWith(Spec{System: sys, Workload: wl,
+			Threads: threads, Cache: cache, Seed: seed}, ExecOptions{})
 		if err != nil {
 			return SeedStats{}, err
 		}
@@ -75,7 +77,8 @@ func CommitRateSeeds(sys SystemDef, wl stamp.Profile, threads int, cache CacheCo
 	}
 	var rates []float64
 	for _, seed := range seeds {
-		run, err := Execute(Spec{System: sys, Workload: wl, Threads: threads, Cache: cache, Seed: seed})
+		run, err := ExecuteWith(Spec{System: sys, Workload: wl,
+			Threads: threads, Cache: cache, Seed: seed}, ExecOptions{})
 		if err != nil {
 			return SeedStats{}, err
 		}

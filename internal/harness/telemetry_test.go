@@ -21,10 +21,10 @@ func TestTelemetryPreservesGoldenCycles(t *testing.T) {
 		t.Run(cell.System+"/"+cell.Workload, func(t *testing.T) {
 			t.Parallel()
 			tel := telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true})
-			run, err := ExecuteInstrumented(Spec{
+			run, err := ExecuteWith(Spec{
 				System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
 				Threads: cell.Threads, Cache: TypicalCache(), Seed: 1,
-			}, nil, tel)
+			}, ExecOptions{Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,10 +46,10 @@ func TestTelemetryExportsByteIdentical(t *testing.T) {
 	export := func() (metrics, chrome []byte) {
 		t.Helper()
 		tel := telemetry.New(telemetry.Config{Interval: 10_000, HotLines: 8, Chrome: true})
-		_, err := ExecuteInstrumented(Spec{
+		_, err := ExecuteWith(Spec{
 			System: mustSystem("LockillerTM"), Workload: stamp.Intruder(),
 			Threads: 4, Cache: TypicalCache(), Seed: 1,
-		}, nil, tel)
+		}, ExecOptions{Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,9 @@ import (
 
 // LedgerSchemaVersion is stamped into every record; ValidateLedger rejects
 // records from any other version so schema drift fails loudly. Version 2
-// added CacheSrc (which cache satisfied a hit: memo or disk).
-const LedgerSchemaVersion = 2
+// added CacheSrc (which cache satisfied a hit: memo or disk); version 3
+// dropped par_workers with the tile-parallel engine.
+const LedgerSchemaVersion = 3
 
 // Record is one run's ledger entry. Fields are declared in alphabetical
 // json-name order — encoding/json emits struct fields in declaration
@@ -52,8 +53,6 @@ type Record struct {
 	// Key is the spec's memo key (harness.Spec.Key).
 	Key     string `json:"key" obs:"det"`
 	Mallocs uint64 `json:"mallocs" obs:"host"`
-	// ParWorkers is the tile-parallel worker count (0 = sequential).
-	ParWorkers int `json:"par_workers" obs:"det"`
 	// Schema is LedgerSchemaVersion.
 	Schema int `json:"schema" obs:"det"`
 	// Seed is the simulation seed.

@@ -37,32 +37,6 @@ type Traffic struct {
 	LockHandovers    uint64
 }
 
-// Merge adds o's counters into t. The machine folds one partial Traffic
-// per tile group and merges them in group order, so totals are identical
-// between the sequential and sharded engines (uint64 addition is exact and
-// associative; only the fold order is fixed for clarity).
-func (t *Traffic) Merge(o *Traffic) {
-	t.Messages += o.Messages
-	t.FlitHops += o.FlitHops
-	t.QueueWait += o.QueueWait
-	t.L1Hits += o.L1Hits
-	t.L1Misses += o.L1Misses
-	t.TxWBs += o.TxWBs
-	t.NacksSent += o.NacksSent
-	t.RejectsSent += o.RejectsSent
-	t.RejectsReceived += o.RejectsReceived
-	t.WakesSent += o.WakesSent
-	t.SignatureSpills += o.SignatureSpills
-	t.SwitchTries += o.SwitchTries
-	t.SwitchGrants += o.SwitchGrants
-	t.DirRequests += o.DirRequests
-	t.LLCRejections += o.LLCRejections
-	t.MemFetches += o.MemFetches
-	t.BackInvals += o.BackInvals
-	t.LockAcquisitions += o.LockAcquisitions
-	t.LockHandovers += o.LockHandovers
-}
-
 // L1MissRate returns misses / (hits + misses).
 func (t *Traffic) L1MissRate() float64 {
 	total := t.L1Hits + t.L1Misses

@@ -4,8 +4,7 @@
 // (DESIGN.md §13) generalizes the layer behind the Topology interface so
 // the simulated machine can grow to 64–1024 tiles on a larger mesh, a
 // torus (wraparound X-Y), or a concentrated mesh (several tiles per
-// router) without the NoC or the sharded engine caring which shape is
-// underneath.
+// router) without the NoC caring which shape is underneath.
 package topology
 
 import "fmt"
@@ -37,10 +36,6 @@ type Topology interface {
 	// NumLinks returns the number of distinct directed links, used to
 	// normalize link-occupancy telemetry.
 	NumLinks() int
-	// MinCrossHops returns the minimum Hops between two distinct tiles:
-	// 1 on a mesh or torus, 0 on a concentrated mesh (same-router tiles).
-	// The NoC derives its conservative-PDES lookahead from it.
-	MinCrossHops() int
 	// Name identifies the shape ("mesh", "torus", "cmesh").
 	Name() string
 }
@@ -123,14 +118,6 @@ func (m Mesh) Hops(src, dst int) int {
 	return abs(sx-dx) + abs(sy-dy)
 }
 
-// MinCrossHops implements Topology: adjacent tiles are one link apart.
-func (m Mesh) MinCrossHops() int {
-	if m.Tiles() == 1 {
-		return 0
-	}
-	return 1
-}
-
 // NumLinks returns the number of distinct directed links: W*(H-1) vertical
 // and H*(W-1) horizontal channels, each bidirectional.
 func (m Mesh) NumLinks() int { return 2 * (m.W*(m.H-1) + m.H*(m.W-1)) }
@@ -209,7 +196,7 @@ func ringDist(a, b, n int) (dist, dir int) {
 	if a == b {
 		return 0, 1
 	}
-	fwd := ((b - a) % n + n) % n
+	fwd := ((b-a)%n + n) % n
 	back := n - fwd
 	if fwd <= back {
 		return fwd, 1
@@ -225,14 +212,6 @@ func (t Torus) Hops(src, dst int) int {
 	hx, _ := ringDist(sx, dx, t.W)
 	hy, _ := ringDist(sy, dy, t.H)
 	return hx + hy
-}
-
-// MinCrossHops implements Topology.
-func (t Torus) MinCrossHops() int {
-	if t.Tiles() == 1 {
-		return 0
-	}
-	return 1
 }
 
 // NumLinks returns the number of distinct directed links. A ring of length
@@ -327,15 +306,6 @@ func (c CMesh) Hops(src, dst int) int {
 	sx, sy := c.routerXY(c.Router(src))
 	dx, dy := c.routerXY(c.Router(dst))
 	return abs(sx-dx) + abs(sy-dy)
-}
-
-// MinCrossHops implements Topology: with Conc > 1 two distinct tiles can
-// share a router and exchange messages over the zero-hop crossbar.
-func (c CMesh) MinCrossHops() int {
-	if c.Conc > 1 || c.Tiles() == 1 {
-		return 0
-	}
-	return 1
 }
 
 // NumLinks returns the router grid's distinct directed links.

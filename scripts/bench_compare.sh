@@ -16,11 +16,8 @@ cd "$(dirname "$0")/.."
 
 BUDGET="${2:-15}"
 
-BASE=""
-for f in BENCH_*.json; do
-    [ -f "$f" ] || continue
-    BASE="$f"
-done
+# Newest = highest number: a lexical glob would rank BENCH_9 above BENCH_10.
+BASE="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)"
 if [ -z "$BASE" ]; then
     echo "bench_compare: no committed BENCH_*.json baseline found" >&2
     exit 2
