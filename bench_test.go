@@ -419,6 +419,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
+// BenchmarkSpinContended runs a contended classic-interface point: Baseline
+// intruder on 32 threads, where threads whose transactions keep aborting
+// take the fallback lock and the others re-read it every SpinInterval
+// cycles until it frees (Listing 1's retry strategy). The HTMLock systems
+// the other full-sim benchmarks run never spin, so this is the one that
+// prices the spin loop; its allocs/op must not scale with the spinning.
+func BenchmarkSpinContended(b *testing.B) {
+	sys, _ := harness.SystemByName("Baseline")
+	s := harness.Spec{System: sys, Workload: stamp.Intruder(), Threads: 32,
+		Cache: harness.TypicalCache(), Seed: 1}
+	b.ReportAllocs()
+	var cycles, events uint64
+	for i := 0; i < b.N; i++ {
+		res, err := harness.ExecuteWith(s, harness.ExecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.ExecCycles
+		events += res.EventsExecuted
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 // BenchmarkFusedHitChain measures the steady-state per-op cost of the
 // event-fusion fast path (DESIGN.md §10): a single thread streaming compute
 // ops and guaranteed L1 hits, the exact shape fuseOps executes inline

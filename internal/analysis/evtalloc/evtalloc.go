@@ -1,15 +1,18 @@
-// Package evtalloc flags closure-literal scheduling on the simulator's hot
-// path: a func literal passed to sim.Engine.At or sim.Engine.After allocates
-// one closure (and usually a capture cell) per event. PR 1 added the typed
-// zero-alloc API — AtEvent/AfterEvent dispatch to a Handler with two unboxed
-// payload words — and converting the hot-path call sites cut the full-sim
-// allocation rate 11x, so new closure literals in hot packages are
-// regressions.
+// Package evtalloc flags closure scheduling on the simulator's hot path: a
+// func literal passed to sim.Engine.At or sim.Engine.After allocates one
+// closure (and usually a capture cell) per event. The typed zero-alloc API
+// — AtEvent/AfterEvent dispatch to a Handler with two unboxed payload words
+// — cut the full-sim allocation rate 11x when the hot-path call sites moved
+// to it, so new closure literals in hot packages are regressions.
 //
-// Only literals are flagged: passing a prebound closure variable (built once
-// at setup, reused per event) is the other sanctioned zero-steady-state-
-// allocation pattern. Cold paths that genuinely need an ad-hoc closure are
-// waived with //lockiller:alloc-ok plus a justification.
+// A func held in a local variable or parameter, or a method value, is
+// flagged too: the pass cannot see where the closure was built, and a loop
+// can rebuild it on every iteration behind such a variable (a lock spin
+// once did exactly that). The sanctioned alternative to the typed
+// API is a closure prebound in a struct field (built once at setup, reused
+// per event); package-level funcs allocate nothing either. Cold paths that
+// genuinely need an ad-hoc closure are waived with //lockiller:alloc-ok
+// plus a justification.
 package evtalloc
 
 import (
@@ -22,7 +25,7 @@ import (
 // Analyzer is the evtalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "evtalloc",
-	Doc:  "flags closure-literal Engine.At/After scheduling in hot packages; steer to AtEvent/AfterEvent",
+	Doc:  "flags closure-literal and func-variable Engine.At/After scheduling in hot packages; steer to AtEvent/AfterEvent",
 	Run:  run,
 }
 
@@ -47,19 +50,37 @@ func run(pass *analysis.Pass) error {
 			if !isEngine(pass, sel.X) || len(call.Args) != 2 {
 				return true
 			}
-			if _, lit := ast.Unparen(call.Args[1]).(*ast.FuncLit); !lit {
-				return true
-			}
-			if pass.Waived(call, analysis.DirectiveAllocOK) {
+			what := scheduledFunc(pass, call.Args[1])
+			if what == "" || pass.Waived(call, analysis.DirectiveAllocOK) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"closure literal passed to Engine.%s in hot package %q allocates per event; use Engine.%sEvent (typed zero-alloc API) or a prebound closure, or waive a cold path with //%s",
-				name, pass.Pkg.Name(), name, analysis.DirectiveAllocOK)
+				"%s passed to Engine.%s in hot package %q allocates per event; use Engine.%sEvent (typed zero-alloc API) or a closure prebound in a struct field, or waive a cold path with //%s",
+				what, name, pass.Pkg.Name(), name, analysis.DirectiveAllocOK)
 			return true
 		})
 	}
 	return nil
+}
+
+// scheduledFunc classifies the func argument of an At/After call: "" when
+// it is allocation-free by construction (a struct field holding a prebound
+// closure, a package-level func or var), otherwise a description of the
+// flagged form.
+func scheduledFunc(pass *analysis.Pass, arg ast.Expr) string {
+	switch e := ast.Unparen(arg).(type) {
+	case *ast.FuncLit:
+		return "closure literal"
+	case *ast.SelectorExpr:
+		if sel := pass.TypesInfo.Selections[e]; sel != nil && sel.Kind() == types.MethodVal {
+			return "method value"
+		}
+	case *ast.Ident:
+		if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() != v.Pkg().Scope() {
+			return "func variable"
+		}
+	}
+	return ""
 }
 
 // isEngine reports whether e's type is (a pointer to) a named type called

@@ -35,3 +35,26 @@ func (l *link) retryLater(d uint64) {
 		l.busy = 0
 	})
 }
+
+// spinLoop hides a per-iteration closure behind a local variable: the
+// continuation is rebuilt every time round, exactly like a literal.
+func (l *link) spinLoop(d uint64) {
+	var spin func()
+	spin = func() {
+		l.busy++
+		l.engine.After(d, spin) // want `func variable passed to Engine\.After in hot package "noc"`
+	}
+	spin()
+}
+
+// forward schedules whatever closure its caller built.
+func (l *link) forward(cycle uint64, deliver func()) {
+	l.engine.At(cycle, deliver) // want `func variable passed to Engine\.At in hot package "noc"`
+}
+
+func (l *link) tick() { l.busy++ }
+
+// tickLater allocates a method-value closure per call.
+func (l *link) tickLater(d uint64) {
+	l.engine.After(d, l.tick) // want `method value passed to Engine\.After in hot package "noc"`
+}

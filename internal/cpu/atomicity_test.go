@@ -182,7 +182,7 @@ func TestRMWTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := got[0][0].Body(1)
+	ops := got[0][0].Body(nil, 1)
 	found := false
 	for _, op := range ops {
 		if op.Kind == OpRMW {

@@ -41,6 +41,18 @@ type Core struct {
 	// contFn is the prebound memory-access completion (accessDone), built
 	// once so the per-op Access call allocates no closure.
 	contFn func()
+	// The other per-section and per-attempt continuations, prebound the
+	// same way: the lock-spin re-read (spinCheck), the classic interface's
+	// lock-subscription read (subscribed), an attempt's last op
+	// (finishAttempt), a plain section's last op (plainDone), and the
+	// barrier release (advance).
+	spinCheckFn, subscribedFn, finishFn, plainDoneFn, advanceFn func()
+	// body is the buffer regenerating sections (Section.Gen) draw each
+	// attempt's ops into. A new attempt overwrites the previous attempt's
+	// ops; every continuation that can still hold them (c.resume, the RMW
+	// steps) checks its token before reading, so a stale one never sees
+	// the new contents.
+	body []Op
 
 	// fusedRuns counts event-fusion fast-path runs (maximal inline op
 	// chains); collected into stats.Run.FusedRuns after the run.
@@ -52,6 +64,7 @@ type Core struct {
 const (
 	evResume  uint8 = iota // continue runOps from c.resume
 	evRestart              // restart the current section's attempt
+	evSpin                 // re-read the held fallback lock (no token)
 )
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
@@ -59,6 +72,13 @@ func (c *Core) ProbeClass() string { return "core" }
 
 // OnEvent implements sim.Handler for the core's allocation-free delays.
 func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
+	if kind == evSpin {
+		// A spinning core is outside any transaction, so no abort can
+		// overtake the re-read; like the closure it replaced, it carries
+		// no token.
+		c.spinWhileHeld()
+		return
+	}
 	if a != c.token {
 		return
 	}
@@ -67,7 +87,7 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 		r := c.resume
 		c.runOps(r.ops, r.i, a, r.done)
 	case evRestart:
-		c.startAttempt(c.prog[c.secIdx])
+		c.startAttempt()
 	}
 }
 
@@ -76,6 +96,11 @@ type memLine = mem.Line
 func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Core {
 	c := &Core{m: m, id: id, prog: prog, st: st, rng: rng}
 	c.contFn = c.accessDone
+	c.spinCheckFn = c.spinCheck
+	c.subscribedFn = c.subscribed
+	c.finishFn = c.finishAttempt
+	c.plainDoneFn = c.plainDone
+	c.advanceFn = c.advance
 	m.Sys.L1s[id].SetClient(c)
 	return c
 }
@@ -83,7 +108,8 @@ func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Co
 // reset rebinds the core to a new run (machine reset between runs): a new
 // program, a fresh stats sink, and a fresh per-core RNG stream. The staged-
 // counter map keeps its buckets (cleared in place, exactly as commits do);
-// the machine pointer, tile id, and prebound completion survive.
+// the machine pointer, tile id, prebound completions and body buffer
+// survive.
 func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
 	c.prog = prog
 	c.st = st
@@ -93,6 +119,7 @@ func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
 	c.token = 0
 	clear(c.staged)
 	c.resume.ops, c.resume.i, c.resume.tok, c.resume.done = nil, 0, 0, nil
+	c.body = c.body[:0]
 	c.fusedRuns = 0
 }
 
@@ -118,23 +145,25 @@ func (c *Core) nextSection() {
 	case sec.Barrier:
 		c.st.StartSegment(stats.CatNonTx, c.now())
 		c.st.Barriers++
-		c.m.Barrier.Arrive(func() { c.advance() })
+		c.m.Barrier.Arrive(c.advanceFn)
 	case sec.Atomic:
 		c.retries = 0
 		if c.m.Cfg.Sync == SysCGL {
 			c.runCGL(sec)
 		} else {
-			c.startAttempt(sec)
+			c.startAttempt()
 		}
 	default:
 		c.st.StartSegment(stats.CatNonTx, c.now())
-		c.runOps(sec.Ops, 0, c.token, func() {
-			// A non-transactional RMW becomes visible at completion (it
-			// has no commit point to defer to).
-			c.applyStaged()
-			c.advance()
-		})
+		c.runOps(sec.Ops, 0, c.token, c.plainDoneFn)
 	}
+}
+
+// plainDone completes a non-atomic section. A non-transactional RMW
+// becomes visible here (it has no commit point to defer to).
+func (c *Core) plainDone() {
+	c.applyStaged()
+	c.advance()
 }
 
 func (c *Core) advance() {
@@ -305,8 +334,7 @@ func (c *Core) runCGL(sec Section) {
 	c.acquire(c.m.Lock, func() {
 		c.st.StartSegment(stats.CatLock, c.now())
 		c.tx().Mode = htm.Mutex
-		body := sec.Body(1)
-		c.runOps(body, 0, c.token, func() {
+		c.runOps(c.bodyOf(sec, 1), 0, c.token, func() {
 			c.tx().Mode = htm.NonTx
 			c.release(c.m.Lock, func() {
 				c.applyStaged()
@@ -322,10 +350,11 @@ func (c *Core) runCGL(sec Section) {
 
 // --- HTM execution ---------------------------------------------------
 
-// startAttempt begins (or restarts) a speculative attempt of the section.
-func (c *Core) startAttempt(sec Section) {
+// startAttempt begins (or restarts) a speculative attempt of the current
+// section.
+func (c *Core) startAttempt() {
 	if c.retries >= c.m.Cfg.HTM.MaxRetries {
-		c.fallback(sec)
+		c.fallback(c.prog[c.secIdx])
 		return
 	}
 	if !c.m.Cfg.HTM.HTMLock && c.m.Lock.Held() {
@@ -333,7 +362,7 @@ func (c *Core) startAttempt(sec Section) {
 		// no point starting while the fallback lock is held — the
 		// subscription would abort us instantly. Spin until free.
 		c.st.StartSegment(stats.CatWaitLock, c.now())
-		c.spinWhileHeld(func() { c.startAttempt(sec) })
+		c.spinWhileHeld()
 		return
 	}
 	c.st.StartSegment(stats.CatHTM, c.now())
@@ -345,31 +374,47 @@ func (c *Core) startAttempt(sec Section) {
 	if t := c.m.Cfg.Telemetry; t != nil {
 		t.TxBegin(c.id, c.secIdx, c.tx().Attempt)
 	}
-	tok := c.token
-	body := func() {
-		ops := sec.Body(c.tx().Attempt)
-		c.runOps(ops, 0, tok, func() { c.finishAttempt(sec) })
-	}
 	if c.m.Cfg.HTM.HTMLock {
 		// HTMLock interface: no fallback-lock subscription (paper
 		// Listing 1's grey modification removes the lock read).
-		body()
+		c.runAttempt()
 		return
 	}
 	// Classic interface: read the fallback lock into the read set; abort
 	// immediately if it is held.
-	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, func() {
-		if c.m.Lock.Held() {
-			c.m.Sys.L1s[c.id].AbortLocal(htm.CauseMutex)
-			return
-		}
-		body()
-	})
+	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.subscribedFn)
+}
+
+// subscribed completes the classic interface's lock-subscription read.
+func (c *Core) subscribed() {
+	if c.m.Lock.Held() {
+		c.m.Sys.L1s[c.id].AbortLocal(htm.CauseMutex)
+		return
+	}
+	c.runAttempt()
+}
+
+// runAttempt runs the current attempt's body through to finishAttempt. It
+// runs under the token current at startAttempt: directly from there, or
+// from the subscription read, whose completion the L1 drops if the attempt
+// aborted first (the L1 epoch and the core token advance together).
+func (c *Core) runAttempt() {
+	c.runOps(c.bodyOf(c.prog[c.secIdx], c.tx().Attempt), 0, c.token, c.finishFn)
+}
+
+// bodyOf returns sec's operations for attempt: its static ops, or a
+// regenerating section's draw into the core-owned body buffer.
+func (c *Core) bodyOf(sec Section, attempt int) []Op {
+	if sec.Gen == nil {
+		return sec.Ops
+	}
+	c.body = sec.Gen(c.body[:0], attempt)
+	return c.body
 }
 
 // finishAttempt commits the attempt in whatever mode it ended in: HTM
 // commit, or HTMLock-mode completion after a successful switch (STL).
-func (c *Core) finishAttempt(sec Section) {
+func (c *Core) finishAttempt() {
 	switch c.tx().Mode {
 	case htm.HTM:
 		// The functional commit must coincide with the protection drop:
@@ -461,8 +506,7 @@ func (c *Core) fallback(sec Section) {
 			c.m.Sys.L1s[c.id].HLBegin(func() {
 				c.st.StartSegment(stats.CatLock, c.now())
 				c.tx().BeginAttempt(htm.TL, c.now())
-				body := sec.Body(c.tx().Attempt)
-				c.runOps(body, 0, c.token, func() {
+				c.runOps(c.bodyOf(sec, c.tx().Attempt), 0, c.token, func() {
 					// Staged updates become visible before hlend wakes the
 					// requesters this lock transaction rejected — otherwise
 					// a woken reader could see pre-transaction values while
@@ -479,8 +523,7 @@ func (c *Core) fallback(sec Section) {
 		}
 		c.st.StartSegment(stats.CatLock, c.now())
 		c.tx().Mode = htm.Mutex
-		body := sec.Body(1)
-		c.runOps(body, 0, c.token, func() {
+		c.runOps(c.bodyOf(sec, 1), 0, c.token, func() {
 			c.tx().Mode = htm.NonTx
 			c.release(c.m.Lock, func() {
 				c.st.LockRuns++
@@ -527,23 +570,25 @@ func (c *Core) release(lk *SpinLock, done func()) {
 	}
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
 		if next := lk.release(c.id); next != nil {
+			//lockiller:alloc-ok lock handover: one event per contended acquisition, running the grant closure built when the waiter queued
 			c.engine().After(1, next)
 		}
 		done()
 	})
 }
 
-// spinWhileHeld re-reads the lock line until it is observed free.
-func (c *Core) spinWhileHeld(done func()) {
-	var spin func()
-	spin = func() {
-		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, func() {
-			if c.m.Lock.Held() {
-				c.engine().After(c.m.Cfg.SpinInterval, spin)
-				return
-			}
-			done()
-		})
+// spinWhileHeld re-reads the lock line; spinCheck re-arms the re-read
+// every SpinInterval cycles until the lock is observed free, then starts
+// the attempt. Both continuations are prebound and the re-arm is a typed
+// event, so a spinning core allocates nothing per iteration.
+func (c *Core) spinWhileHeld() {
+	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinCheckFn)
+}
+
+func (c *Core) spinCheck() {
+	if c.m.Lock.Held() {
+		c.engine().AfterEvent(c.m.Cfg.SpinInterval, c, evSpin, 0, nil)
+		return
 	}
-	spin()
+	c.startAttempt()
 }

@@ -224,12 +224,12 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestDynamicBodyRegeneratedPerAttempt(t *testing.T) {
 	attempts := []int{}
 	var p Program
-	p = append(p, AtomicDynamic(func(attempt int) []Op {
+	p = append(p, AtomicDynamic(func(dst []Op, attempt int) []Op {
 		attempts = append(attempts, attempt)
 		if attempt < 3 {
-			return []Op{Read(4096), Fault()}
+			return append(dst, Read(4096), Fault())
 		}
-		return []Op{Read(4096)}
+		return append(dst, Read(4096))
 	}))
 	hc := baselineHTM()
 	hc.MaxRetries = 10

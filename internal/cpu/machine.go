@@ -247,6 +247,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 	m.running = len(m.Cores)
 	for _, c := range m.Cores {
 		c := c
+		//lockiller:alloc-ok machine start: one event per core per run
 		m.Engine.After(0, c.start)
 	}
 	err := m.Engine.Run(m.Cfg.Limit)

@@ -47,28 +47,40 @@ func RMW(l mem.Line) Op   { return Op{Kind: OpRMW, Line: l} }
 // Section is one step of a thread program.
 type Section struct {
 	// Atomic marks a critical section: executed as a transaction (or under
-	// the global lock for CGL). Body generates the section's operations
-	// and is re-invoked on every attempt — dynamic workloads (labyrinth)
-	// re-read shared state after an abort and may take a different path.
+	// the global lock for CGL). Its operations are Ops, the same on every
+	// attempt, unless Gen is set.
 	Atomic bool
-	Body   func(attempt int) []Op
+	// Gen, when non-nil, regenerates an atomic section's operations on
+	// every attempt — dynamic workloads (labyrinth) re-read shared state
+	// after an abort and may take a different path. It appends the
+	// attempt's ops to dst and returns the extended slice, and must not
+	// return storage it keeps: the core reuses dst for its next attempt.
+	Gen func(dst []Op, attempt int) []Op
 
 	// Barrier marks a whole-program synchronization point.
 	Barrier bool
 
-	// Ops are the operations of a non-atomic section.
+	// Ops are the operations of a non-atomic section, or of an atomic
+	// section without Gen.
 	Ops []Op
 }
 
-// Atomic builds an atomic section with a static body.
-func AtomicStatic(ops []Op) Section {
-	return Section{Atomic: true, Body: func(int) []Op { return ops }}
+// Body returns the atomic section's operations for the given attempt: Ops,
+// or Gen's draw appended to dst.
+func (s Section) Body(dst []Op, attempt int) []Op {
+	if s.Gen == nil {
+		return s.Ops
+	}
+	return s.Gen(dst, attempt)
 }
 
+// AtomicStatic builds an atomic section with a static body.
+func AtomicStatic(ops []Op) Section { return Section{Atomic: true, Ops: ops} }
+
 // AtomicDynamic builds an atomic section whose body is regenerated per
-// attempt.
-func AtomicDynamic(body func(attempt int) []Op) Section {
-	return Section{Atomic: true, Body: body}
+// attempt (see Section.Gen for the contract).
+func AtomicDynamic(gen func(dst []Op, attempt int) []Op) Section {
+	return Section{Atomic: true, Gen: gen}
 }
 
 // Plain builds a non-atomic section.

@@ -123,6 +123,7 @@ func (b *Barrier) Arrive(cont func()) {
 	b.waiting = nil
 	for _, w := range ws {
 		w := w
+		//lockiller:alloc-ok barrier release: one event per participant per barrier episode
 		b.engine.After(1, w)
 	}
 }

@@ -92,7 +92,7 @@ func ExportPrograms(w io.Writer, programs []Program, maxAttempts int) error {
 			case sec.Atomic:
 				sj := sectionJSON{Kind: "atomic"}
 				for a := 1; a <= maxAttempts; a++ {
-					sj.Attempts = append(sj.Attempts, opsToJSON(sec.Body(a)))
+					sj.Attempts = append(sj.Attempts, opsToJSON(sec.Body(nil, a)))
 				}
 				secs = append(secs, sj)
 			default:
@@ -139,7 +139,7 @@ func ImportPrograms(r io.Reader) ([]Program, error) {
 					}
 					bodies[a] = ops
 				}
-				prog = append(prog, AtomicDynamic(func(attempt int) []Op {
+				prog = append(prog, AtomicDynamic(func(dst []Op, attempt int) []Op {
 					idx := attempt - 1
 					if idx < 0 {
 						idx = 0
@@ -147,7 +147,7 @@ func ImportPrograms(r io.Reader) ([]Program, error) {
 					if idx >= len(bodies) {
 						idx = len(bodies) - 1
 					}
-					return bodies[idx]
+					return append(dst, bodies[idx]...)
 				}))
 			default:
 				return nil, fmt.Errorf("cpu: program %d section %d: unknown kind %q", pi, si, sj.Kind)

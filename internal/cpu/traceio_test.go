@@ -13,11 +13,11 @@ func sampleProgram() Program {
 	attempt1 := []Op{Read(12), Fault()}
 	return Program{
 		Plain([]Op{Compute(100), Read(1)}),
-		AtomicDynamic(func(a int) []Op {
+		AtomicDynamic(func(dst []Op, a int) []Op {
 			if a == 1 {
-				return attempt0
+				return append(dst, attempt0...)
 			}
-			return attempt1
+			return append(dst, attempt1...)
 		}),
 		BarrierSection(),
 		AtomicStatic([]Op{Write(20)}),
@@ -49,15 +49,15 @@ func TestProgramRoundTrip(t *testing.T) {
 			t.Fatalf("plain section = %+v", prog[0].Ops)
 		}
 		// Dynamic bodies per attempt preserved; later attempts clamp.
-		a1 := prog[1].Body(1)
+		a1 := prog[1].Body(nil, 1)
 		if len(a1) != 3 || a1[0].Kind != OpRead || a1[0].Line != mem.Line(10) {
 			t.Fatalf("attempt 1 = %+v", a1)
 		}
-		a2 := prog[1].Body(2)
+		a2 := prog[1].Body(nil, 2)
 		if len(a2) != 2 || a2[1].Kind != OpFault {
 			t.Fatalf("attempt 2 = %+v", a2)
 		}
-		a9 := prog[1].Body(9) // beyond recorded: repeats last
+		a9 := prog[1].Body(nil, 9) // beyond recorded: repeats last
 		if len(a9) != 2 {
 			t.Fatalf("attempt 9 = %+v", a9)
 		}

@@ -237,9 +237,16 @@ func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
 }
 
 // NewMachineFor constructs the machine a spec describes, programmed and
-// ready to Run. The runner's reuse path builds machines here once per shape
-// and Resets them for every later spec with the same poolKey.
+// ready to Run.
 func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
+	return newMachine(s, opts, stamp.Programs(s.Workload, s.Threads, s.Seed))
+}
+
+// newMachine is NewMachineFor with the spec's programs supplied by the
+// caller: the runner passes its memoized set. The runner's reuse path
+// builds machines here once per shape and Resets them for every later spec
+// with the same poolKey.
+func newMachine(s Spec, opts ExecOptions, progs []cpu.Program) *cpu.Machine {
 	p := s.MachineParams()
 	cfg := cpu.Config{
 		Machine:       p,
@@ -260,7 +267,6 @@ func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 			Workload: s.Workload.Name,
 		}
 	}
-	progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
 	return cpu.NewMachine(cfg, s.System.Name, s.Workload.Name, progs)
 }
 
@@ -297,7 +303,8 @@ type Runner struct {
 	Profiler *obs.Profiler
 
 	// exec runs one spec; tests may replace it before first use. Defaults
-	// to ExecuteWith (with the self-profiler probe when Profiler is set).
+	// to a machine built (or reset) from the runner's memoized programs,
+	// with the self-profiler probe when Profiler is set.
 	exec func(Spec) (*stats.Run, error)
 
 	mu       sync.Mutex
@@ -305,6 +312,7 @@ type Runner struct {
 	inflight map[string]*call
 	errs     []error
 	pool     machinePool
+	progs    programMemo
 }
 
 // call tracks one in-flight execution so concurrent Gets of the same spec
@@ -384,14 +392,14 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		// Machine.Reset refuses observer-attached machines, so the profiled
 		// path always builds fresh and never touches the pool.
 		p := obs.NewProfiler()
-		res, err := ExecuteWith(s, ExecOptions{Probe: p})
+		res, err := newMachine(s, ExecOptions{Probe: p}, r.progs.get(s)).Run()
 		r.Profiler.Merge(p)
 		return res, err
 	}
 	if r.Reuse {
 		return r.executeReused(s)
 	}
-	return ExecuteWith(s, ExecOptions{})
+	return newMachine(s, ExecOptions{}, r.progs.get(s)).Run()
 }
 
 // executeReused satisfies one spec from the machine pool: take a machine of
@@ -401,11 +409,11 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 // garbage collector.
 func (r *Runner) executeReused(s Spec) (*stats.Run, error) {
 	pk := s.poolKey()
+	progs := r.progs.get(s)
 	m := r.pool.acquire(pk)
 	if m == nil {
-		m = NewMachineFor(s, ExecOptions{})
+		m = newMachine(s, ExecOptions{}, progs)
 	} else {
-		progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
 		m.Reset(s.Seed, s.System.Name, s.Workload.Name, progs)
 	}
 	res, err := m.Run()

@@ -23,7 +23,7 @@ func TestProfileCalibration(t *testing.T) {
 						continue
 					}
 					txs++
-					for _, op := range sec.Body(1) {
+					for _, op := range sec.Body(nil, 1) {
 						switch op.Kind {
 						case cpu.OpRead:
 							reads++

@@ -10,6 +10,7 @@ package stamp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -127,34 +128,28 @@ func Programs(p Profile, threads int, seed uint64) []cpu.Program {
 func (p Profile) atomicSection(rng *sim.RNG, hot, warm, priv mem.Region) cpu.Section {
 	faulty := p.FaultProb > 0 && rng.Bool(p.FaultProb)
 	if !p.Regenerate {
-		ops := p.txBody(rng.Split(0), faulty, hot, warm, priv)
-		return cpu.AtomicStatic(ops)
+		return cpu.AtomicStatic(p.txBody(nil, rng.Split(0), faulty, hot, warm, priv))
 	}
-	return cpu.AtomicDynamic(func(attempt int) []cpu.Op {
+	return cpu.AtomicDynamic(func(dst []cpu.Op, attempt int) []cpu.Op {
 		r := rng.Split(uint64(attempt))
 		f := faulty && r.Bool(0.85)
-		return p.txBody(r, f, hot, warm, priv)
+		return p.txBody(dst, r, f, hot, warm, priv)
 	})
 }
 
-// txBody draws a transaction's operation stream.
-func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) []cpu.Op {
+// txBody draws a transaction's operation stream and appends it to dst.
+func (p Profile) txBody(dst []cpu.Op, rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) []cpu.Op {
 	nR := rng.Geometric(float64(p.TxReads))
 	nW := 0
 	if p.TxWrites > 0 {
 		nW = rng.Geometric(float64(p.TxWrites))
 	}
-	ops := make([]cpu.Op, 0, nR+nW+4)
-	appendCompute := func() {
-		if p.ComputePerOp > 0 {
-			ops = append(ops, cpu.Compute(p.ComputePerOp))
-		}
-	}
+	ops := slices.Grow(dst, nR+nW+4)
 	// Reads first (lookup phase), then the update phase, matching the
 	// read-validate-update structure of the STAMP applications.
 	for i := 0; i < nR; i++ {
 		ops = append(ops, cpu.Read(p.readTarget(rng, hot, warm, priv)))
-		appendCompute()
+		ops = appendCompute(ops, p.ComputePerOp)
 	}
 	faultAt := -1
 	if faulty {
@@ -166,7 +161,7 @@ func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) [
 		n := p.PathLength/2 + rng.Intn(p.PathLength)
 		for i := 0; i < n; i++ {
 			ops = append(ops, cpu.Write(hot.Pick(start+i)))
-			appendCompute()
+			ops = appendCompute(ops, p.ComputePerOp)
 		}
 	}
 	for i := 0; i < nW; i++ {
@@ -174,7 +169,16 @@ func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) [
 			ops = append(ops, cpu.Fault())
 		}
 		ops = append(ops, cpu.Write(p.writeTarget(rng, hot, priv)))
-		appendCompute()
+		ops = appendCompute(ops, p.ComputePerOp)
+	}
+	return ops
+}
+
+// appendCompute appends the compute gap of n instructions that follows
+// each transactional memory op (none when n is zero).
+func appendCompute(ops []cpu.Op, n uint64) []cpu.Op {
+	if n > 0 {
+		ops = append(ops, cpu.Compute(n))
 	}
 	return ops
 }

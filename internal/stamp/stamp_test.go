@@ -50,7 +50,7 @@ func TestProgramsDeterministic(t *testing.T) {
 				t.Fatalf("thread %d section %d kind differs", th, s)
 			}
 			if sa.Atomic {
-				oa, ob := sa.Body(1), sb.Body(1)
+				oa, ob := sa.Body(nil, 1), sb.Body(nil, 1)
 				if len(oa) != len(ob) {
 					t.Fatalf("thread %d section %d body length differs", th, s)
 				}
@@ -70,7 +70,7 @@ outer:
 		if sec.Atomic {
 			for _, seca := range a[0] {
 				if seca.Atomic {
-					oa, oc := seca.Body(1), sec.Body(1)
+					oa, oc := seca.Body(nil, 1), sec.Body(nil, 1)
 					if len(oa) != len(oc) {
 						same = false
 						break outer
@@ -112,8 +112,8 @@ func TestStaticBodyStableAcrossAttempts(t *testing.T) {
 		if !sec.Atomic {
 			continue
 		}
-		a1 := sec.Body(1)
-		a2 := sec.Body(2)
+		a1 := sec.Body(nil, 1)
+		a2 := sec.Body(nil, 2)
 		if len(a1) != len(a2) {
 			t.Fatal("static body changed across attempts")
 		}
@@ -133,8 +133,8 @@ func TestRegeneratedBodyVariesAcrossAttempts(t *testing.T) {
 		if !sec.Atomic {
 			continue
 		}
-		a1 := sec.Body(1)
-		a2 := sec.Body(2)
+		a1 := sec.Body(nil, 1)
+		a2 := sec.Body(nil, 2)
 		if len(a1) != len(a2) {
 			varied = true
 			break
@@ -160,7 +160,7 @@ func TestLabyrinthWritesContiguousPath(t *testing.T) {
 		if !sec.Atomic {
 			continue
 		}
-		ops := sec.Body(1)
+		ops := sec.Body(nil, 1)
 		var writes []mem.Line
 		for _, op := range ops {
 			if op.Kind == cpu.OpWrite {
@@ -200,14 +200,14 @@ func TestYadaFaultsPersistAcrossAttempts(t *testing.T) {
 			}
 			return false
 		}
-		if !hasFault(sec.Body(1)) {
+		if !hasFault(sec.Body(nil, 1)) {
 			continue
 		}
 		faultySections++
 		// A faulty section should usually keep faulting on retry.
 		again := 0
 		for attempt := 2; attempt <= 6; attempt++ {
-			if hasFault(sec.Body(attempt)) {
+			if hasFault(sec.Body(nil, attempt)) {
 				again++
 			}
 		}
