@@ -48,20 +48,20 @@ test-short:
 	$(GO) test -short ./...
 
 # Run the scheduler + full-simulator benchmarks and write BENCH_8.json
-# (ns/op, B/op, allocs/op per benchmark). BENCH_1.json is the pre-refactor
-# baseline, BENCH_2.json the table-driven protocol engine, BENCH_3.json the
-# telemetry layer, BENCH_4.json the event-fusion fast path + allocation
-# cleanup, BENCH_6.json the scalable-machine refactor (adds
-# ScalingCores/{32,64,128,256}, whose metric of record is ns per simulated
-# core-cycle), BENCH_7.json the
-# host-side observability layer (adds ObsDisabledOverhead/
-# ObsEnabledOverhead), BENCH_8.json machine reuse (adds
-# MachineConstruction/MachineReset — reset must stay >= 5x cheaper than
-# construction — and SweepThroughput/reuse={off,on}, the end-to-end sweep
-# wall with and without the machine pool). Compare SimulatorThroughput
-# across files, and within a file compare the Telemetry/ObsDisabledOverhead
-# pair against SimulatorThroughput (< 2% budget for disabled telemetry
-# hooks, <= 1% and zero extra allocs for disabled probes).
+# (ns/op, B/op, allocs/op per benchmark). Committed baselines: BENCH_1.json
+# is the pre-refactor baseline, BENCH_2.json the table-driven protocol
+# engine, BENCH_3.json the telemetry layer, BENCH_4.json the event-fusion
+# fast path + allocation cleanup, BENCH_6.json the scalable-machine refactor
+# (adds ScalingCores/{32,64,128,256}, whose metric of record is ns per
+# simulated core-cycle), BENCH_7.json the host-side observability layer
+# (adds ObsDisabledOverhead/ObsEnabledOverhead). BENCH_8.json is the next
+# baseline and is not committed yet (ROADMAP item 1); it adds
+# MachineConstruction (the per-spec build cost, recycling the cache arena)
+# and SweepThroughput (a 72-spec sweep at one worker). Compare
+# SimulatorThroughput across files, and within a file compare the
+# Telemetry/ObsDisabledOverhead pair against SimulatorThroughput (< 2%
+# budget for disabled telemetry hooks, <= 1% and zero extra allocs for
+# disabled probes).
 # scripts/bench_compare.sh diffs a fresh run against the newest committed
 # BENCH_*.json.
 bench:

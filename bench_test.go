@@ -574,55 +574,38 @@ func BenchmarkObsEnabledOverhead(b *testing.B) {
 	b.ReportMetric(float64(observed)/float64(b.N), "events/op")
 }
 
-// reuseBenchSpec is the machine-reuse benchmark point: the full Table I
-// machine (32 cores, typical cache) under the paper's headline system, the
-// shape whose construction cost the reuse path amortizes.
-func reuseBenchSpec() harness.Spec {
+// buildBenchSpec is the machine-construction benchmark point: the full
+// Table I machine (32 cores, typical cache) under the paper's headline
+// system.
+func buildBenchSpec() harness.Spec {
 	sys, _ := harness.SystemByName("LockillerTM")
 	return harness.Spec{System: sys, Workload: stamp.Kmeans(), Threads: 8,
 		Cache: harness.TypicalCache(), Seed: 1}
 }
 
-// BenchmarkMachineConstruction is the cost Reset avoids: building one
-// Table I machine from nothing (caches, directory, NoC, cores, programs).
+// BenchmarkMachineConstruction is the per-spec build cost: one Table I
+// machine from nothing (caches, directory, NoC, cores, programs). Each
+// machine is released, so every build after the first recycles the cache
+// arena backing the way sweep executions do.
 func BenchmarkMachineConstruction(b *testing.B) {
-	spec := reuseBenchSpec()
+	spec := buildBenchSpec()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMachineFor(spec, harness.ExecOptions{})
 		if m == nil {
 			b.Fatal("no machine")
 		}
-	}
-}
-
-// BenchmarkMachineReset measures cpu.Machine.Reset on the same shape.
-// Reset cost is shape-proportional (generation bumps plus fixed per-core
-// loops), not dirty-state-proportional, so reset-after-reset iterations
-// measure the true per-sweep-point cost. The DESIGN.md §15 contract is
-// that this stays >= 5x cheaper than BenchmarkMachineConstruction.
-func BenchmarkMachineReset(b *testing.B) {
-	spec := reuseBenchSpec()
-	m := harness.NewMachineFor(spec, harness.ExecOptions{})
-	progs := stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset(spec.Seed, spec.System.Name, spec.Workload.Name, progs)
+		m.Release()
 	}
 }
 
 // BenchmarkSweepThroughput runs a small multi-workload sweep through one
-// Runner per iteration, reuse on and off — the end-to-end form of the
-// construction-vs-reset trade: with reuse on, every spec after the first
-// of each shape runs on a reset machine instead of a fresh build.
+// Runner per iteration: every spec builds its machine (recycling the cache
+// arena of an earlier one), runs it, and releases it.
 func BenchmarkSweepThroughput(b *testing.B) {
 	// The `lockillerbench -fig 13 -quick` shape: four systems and three
 	// light workloads over threads {2, 8, 32} on the small and large cache
-	// points. Each (system, threads, cache) shape is constructed once and
-	// reset for the other two workloads, so 48 of the 72 specs skip
-	// construction — and the 32-thread shapes, whose machines are the most
-	// expensive to build, are where reset pays the most.
+	// points.
 	sysNames := []string{"CGL", "Baseline", "LosaTM-SAFU", "LockillerTM"}
 	wls := []stamp.Profile{stamp.Intruder(), stamp.Kmeans(), stamp.SSCA2()}
 	var specs []harness.Spec
@@ -637,24 +620,15 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			}
 		}
 	}
-	for _, reuse := range []bool{false, true} {
-		name := "reuse=off"
-		if reuse {
-			name = "reuse=on"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := harness.NewRunner(1)
+		r.Workers = 1
+		if err := r.RunAll(specs); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := harness.NewRunner(1)
-				r.Workers = 1 // serialize so the reuse delta is not masked by idle cores
-				r.Reuse = reuse
-				if err := r.RunAll(specs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(specs)), "specs/op")
-		})
 	}
+	b.ReportMetric(float64(len(specs)), "specs/op")
 }
 
 // --- tiny helpers (stdlib only, no fmt in hot paths) ---------------------

@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -62,11 +63,6 @@ type Entry struct {
 	// transaction's read and/or write set.
 	TxRead  bool
 	TxWrite bool
-	// gen is the array generation this entry was written under. An entry
-	// whose generation trails the array's reads as Invalid, which is how
-	// Array.Reset invalidates every line without touching the backing
-	// (it fills the struct's existing padding, so Entry stays 24 bytes).
-	gen uint32
 	// lru is a per-array timestamp for least-recently-used replacement.
 	lru uint64
 }
@@ -81,7 +77,6 @@ type Array struct {
 	ways    int
 	entries []Entry // sets*ways, row-major by set
 	clock   uint64
-	gen     uint32 // current generation; entries with e.gen != gen are stale
 }
 
 // Arena bump-allocates Entry backings so every array of one machine comes
@@ -89,11 +84,62 @@ type Array struct {
 // — or one that runs out — falls back to private allocations, so callers
 // never need to size it exactly.
 type Arena struct {
-	backing []Entry
+	full    []Entry // the whole backing, handed back by Release
+	backing []Entry // the part not yet carved
 }
 
-// NewArena preallocates backing for the given total line count.
-func NewArena(lines int) *Arena { return &Arena{backing: make([]Entry, lines)} }
+// arenaFreeCap bounds the released backings kept for reuse. A sorted sweep
+// builds a handful of machine shapes back to back, and every worker holds
+// at most one live machine, so a short list covers the working set.
+const arenaFreeCap = 8
+
+// arenaFree holds released backings, newest first. Machines are built and
+// released by concurrent sweep workers, hence the mutex.
+var arenaFree struct {
+	sync.Mutex
+	list [][]Entry
+}
+
+// NewArena returns an arena of the given total line count. It takes the
+// newest released backing of exactly that length and clears it — the same
+// all-zero state a fresh make produces — or allocates a new one.
+func NewArena(lines int) *Arena {
+	arenaFree.Lock()
+	var b []Entry
+	for i, f := range arenaFree.list {
+		if len(f) == lines {
+			b = f
+			arenaFree.list = append(arenaFree.list[:i], arenaFree.list[i+1:]...)
+			break
+		}
+	}
+	arenaFree.Unlock()
+	if b == nil {
+		b = make([]Entry, lines)
+	} else {
+		clear(b)
+	}
+	return &Arena{full: b, backing: b}
+}
+
+// Release hands the arena's backing to the free list for a later NewArena.
+// Every array carved from the arena is dead after the call: a later arena
+// overwrites its entries. Releasing twice, or releasing a nil arena, is a
+// no-op.
+func (ar *Arena) Release() {
+	if ar == nil || ar.full == nil {
+		return
+	}
+	b := ar.full
+	ar.full, ar.backing = nil, nil
+	arenaFree.Lock()
+	defer arenaFree.Unlock()
+	if len(arenaFree.list) < arenaFreeCap {
+		arenaFree.list = append(arenaFree.list, nil)
+	}
+	copy(arenaFree.list[1:], arenaFree.list)
+	arenaFree.list[0] = b
+}
 
 // alloc carves n entries off the arena (full-capacity slice so appends can
 // never bleed into a neighbour's backing).
@@ -127,42 +173,6 @@ func NewArrayIn(ar *Arena, sizeBytes, ways int) *Array {
 	return &Array{sets: sets, ways: ways, entries: ar.alloc(lines)}
 }
 
-// Reset invalidates every line in place by bumping the array generation:
-// stale entries read as Invalid everywhere and are normalized lazily when
-// Victim hands one out. O(1) in array size; the uint32 wrap (once per 2^32
-// resets) falls back to rewriting the backing so old generations can never
-// alias the new one.
-func (a *Array) Reset() {
-	a.gen++
-	if a.gen == 0 {
-		for i := range a.entries {
-			a.entries[i] = Entry{}
-		}
-	}
-	a.clock = 0
-}
-
-// Pristine reports whether the array holds no live line and its LRU clock
-// is at its initial value — the state a fresh array and a Reset array
-// share. Used by the machine-reset deep-state walk.
-func (a *Array) Pristine() bool {
-	if a.clock != 0 {
-		return false
-	}
-	for i := range a.entries {
-		e := &a.entries[i]
-		if e.State != Invalid && e.gen == a.gen {
-			return false
-		}
-	}
-	return true
-}
-
-// SameShape reports whether two arrays have identical geometry.
-func (a *Array) SameShape(b *Array) bool {
-	return a.sets == b.sets && a.ways == b.ways
-}
-
 // Sets returns the number of sets; Ways the associativity; Lines capacity.
 func (a *Array) Sets() int  { return a.sets }
 func (a *Array) Ways() int  { return a.ways }
@@ -180,7 +190,7 @@ func (a *Array) Lookup(l mem.Line) *Entry {
 	for i := range s {
 		// Tag compare first: ways that miss (the common case) fall through
 		// on a single predictable uint64 compare.
-		if s[i].Line == l && s[i].State != Invalid && s[i].gen == a.gen {
+		if s[i].Line == l && s[i].State != Invalid {
 			a.clock++
 			s[i].lru = a.clock
 			return &s[i]
@@ -194,7 +204,7 @@ func (a *Array) Lookup(l mem.Line) *Entry {
 func (a *Array) Peek(l mem.Line) *Entry {
 	s := a.set(a.SetOf(l))
 	for i := range s {
-		if s[i].Line == l && s[i].State != Invalid && s[i].gen == a.gen {
+		if s[i].Line == l && s[i].State != Invalid {
 			return &s[i]
 		}
 	}
@@ -212,13 +222,6 @@ func (a *Array) Victim(l mem.Line, avoid func(*Entry) bool) *Entry {
 	var best *Entry
 	for i := range s {
 		e := &s[i]
-		if e.gen != a.gen {
-			// Stale generation: logically Invalid. Normalize before handing
-			// it out so callers that inspect the victim's fields (demotion,
-			// eviction) see a genuinely empty way.
-			*e = Entry{gen: a.gen}
-			return e
-		}
 		if e.State == Invalid {
 			return e
 		}
@@ -243,14 +246,14 @@ func (a *Array) AnyVictim(l mem.Line) *Entry { return a.Victim(l, nil) }
 // the previous occupant) and refreshes LRU.
 func (a *Array) Install(e *Entry, l mem.Line, st State) {
 	a.clock++
-	*e = Entry{Line: l, State: st, lru: a.clock, gen: a.gen}
+	*e = Entry{Line: l, State: st, lru: a.clock}
 }
 
 // ForEach visits every non-Invalid entry. The visitor must not install or
 // evict lines.
 func (a *Array) ForEach(fn func(*Entry)) {
 	for i := range a.entries {
-		if a.entries[i].State != Invalid && a.entries[i].gen == a.gen {
+		if a.entries[i].State != Invalid {
 			fn(&a.entries[i])
 		}
 	}
@@ -260,9 +263,6 @@ func (a *Array) ForEach(fn func(*Entry)) {
 // used by stats and by progression-based priority (LosaTM).
 func (a *Array) CountTx() (reads, writes int) {
 	for i := range a.entries {
-		if a.entries[i].gen != a.gen {
-			continue
-		}
 		if a.entries[i].TxRead {
 			reads++
 		}
@@ -285,7 +285,7 @@ func (a *Array) ClearTx(invalidateWrites bool) (dropped []mem.Line) {
 		if !e.TxRead && !e.TxWrite {
 			continue
 		}
-		if e.State == Invalid || e.gen != a.gen {
+		if e.State == Invalid {
 			continue
 		}
 		if invalidateWrites && e.TxWrite {

@@ -82,19 +82,6 @@ func newBank(sys *System, id int, sizeBytes, ways int, arena *cache.Arena) *Bank
 	}
 }
 
-// reset returns the bank to its just-constructed state in place (machine
-// reset between runs; see System.Reset for the contract). The LLC array
-// keeps its backing (generation reset), the directory table keeps its grown
-// capacity and recycles its live lines, and the pending free list stays
-// warm.
-func (b *Bank) reset() {
-	b.arr.Reset()
-	b.dir.reset()
-	b.collects = b.collects[:0]
-	b.Requests, b.Rejections, b.Nacks, b.MemFetches, b.BackInvals = 0, 0, 0, 0, 0
-	b.ClusterRounds = 0
-}
-
 // frame converts a line homed at this bank into its bank-local frame
 // number. Interleaved lines are multiples of the core count apart; without
 // this compression only 1/Cores of the bank's sets would ever be used.

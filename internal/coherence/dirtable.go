@@ -156,23 +156,6 @@ func (t *dirTable) remove(l mem.Line) {
 	}
 }
 
-// reset untracks every line in place, recycling live dirLines to the free
-// list (machine reset between runs). The slot capacity — and with it mask/
-// shift — survives any growth the previous run caused; lookups are order-
-// insensitive and growth is population-driven, so a reset table behaves
-// exactly like a fresh one for the next run's insertion history.
-func (t *dirTable) reset() {
-	if t.live > 0 {
-		for i, d := range t.slots {
-			if d != nil {
-				t.free = append(t.free, d)
-				t.slots[i] = nil
-			}
-		}
-	}
-	t.live = 0
-}
-
 // grow doubles the table, reinserting every live entry. Growth is
 // deterministic: the new layout depends only on the set of tracked lines.
 func (t *dirTable) grow() {

@@ -30,12 +30,12 @@ const (
 // request per line. A rejected request is "held in the MSHR, marked
 // incomplete, and restored to the state before sending" (paper §III-A).
 type mshr struct {
-	line    mem.Line
-	write   bool
-	txBits  bool // set tx metadata on fill
-	epoch   uint64
-	state   mshrState
-	done    func()
+	line   mem.Line
+	write  bool
+	txBits bool // set tx metadata on fill
+	epoch  uint64
+	state  mshrState
+	done   func()
 	// doneEp is done's guard epoch: done fires only while l1.epoch still
 	// equals it. Storing the pair instead of a guard closure keeps the
 	// dominant miss path allocation-free (see guard).
@@ -97,33 +97,6 @@ func newL1(sys *System, core int, arena *cache.Arena) *L1 {
 		l1.mid = cache.NewArrayIn(arena, sys.MidSize, sys.MidWays)
 	}
 	return l1
-}
-
-// reset returns the L1 to its just-constructed state in place (machine
-// reset between runs; see System.Reset for the contract). Warm capacity
-// survives: the cache arrays keep their backings (generation reset), the
-// MSHR table keeps its grown slot count, and the MSHR free list keeps its
-// pooled entries — parkSeq deliberately survives, exactly as it does across
-// newMshr recycling, because every check against it is an equality. The
-// abort epoch restarts at zero so park-retry payload words (epoch<<32|seq)
-// rebuild identically to a fresh machine's.
-func (l1 *L1) reset() {
-	l1.arr.Reset()
-	if l1.mid != nil {
-		l1.mid.Reset()
-	}
-	l1.Tx.ResetHard()
-	l1.epoch = 0
-	l1.mshrs.reset(l1.freeMshr)
-	l1.mshrScratch = l1.mshrScratch[:0]
-	l1.applying = false
-	l1.applyCont = nil
-	l1.blockedExt = l1.blockedExt[:0]
-	l1.wake.Clear()
-	l1.Hits, l1.Misses, l1.MidHits, l1.TxWBs = 0, 0, 0, 0
-	l1.RejectsSent, l1.RejectsReceived = 0, 0
-	l1.NacksSent, l1.WakesSent = 0, 0
-	l1.OverflowEvictions, l1.SwitchTries, l1.SwitchGrants = 0, 0, 0
 }
 
 // MidArray exposes the middle cache (nil when two-level) to tests.

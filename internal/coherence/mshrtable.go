@@ -157,23 +157,6 @@ func (t *mshrTable) setInFlight(ms *mshr) {
 	ms.state = mshrInFlight
 }
 
-// reset empties the table in place (machine reset between runs), handing
-// each live entry to recycle so the owner can pool it. Capacity survives
-// growth; see dirTable.reset for why that is behavior-neutral.
-func (t *mshrTable) reset(recycle func(*mshr)) {
-	if t.live > 0 {
-		for i, ms := range t.slots {
-			if ms != nil {
-				if recycle != nil {
-					recycle(ms)
-				}
-				t.slots[i] = nil
-			}
-		}
-	}
-	t.live, t.parked = 0, 0
-}
-
 // grow doubles the table, reinserting every live entry. Growth preserves
 // determinism: the new layout depends only on the set of live lines.
 func (t *mshrTable) grow() {

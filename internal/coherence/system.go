@@ -132,6 +132,9 @@ type System struct {
 	// LockLine is the fallback lock's cache line, used to classify
 	// subscription aborts as mutex-caused.
 	LockLine mem.Line
+	// Arena backs every cache array of the system (bank slices, L1s, and
+	// middle caches). cpu.Machine.Release hands it back for recycling.
+	Arena *cache.Arena
 
 	// msgFree is the protocol-message free list. The engine is single-
 	// threaded, so no locking: a message is allocated when sent, handed
@@ -169,43 +172,15 @@ func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
 	// One bump arena backs every cache array of the machine — bank slices,
 	// L1s, and (three-level) middle caches — so constructing a machine costs
 	// one large line allocation instead of two or three per tile.
-	arena := cache.NewArena(p.Cores * (cache.LinesFor(bankSize) +
+	sys.Arena = cache.NewArena(p.Cores * (cache.LinesFor(bankSize) +
 		cache.LinesFor(p.L1Size) + cache.LinesFor(p.MidSize)))
 	for i := 0; i < p.Cores; i++ {
-		sys.Banks = append(sys.Banks, newBank(sys, i, bankSize, p.LLCWays, arena))
+		sys.Banks = append(sys.Banks, newBank(sys, i, bankSize, p.LLCWays, sys.Arena))
 	}
 	for i := 0; i < p.Cores; i++ {
-		sys.L1s = append(sys.L1s, newL1(sys, i, arena))
+		sys.L1s = append(sys.L1s, newL1(sys, i, sys.Arena))
 	}
 	return sys
-}
-
-// Reset returns the memory subsystem to its just-constructed state in
-// place: every cache array, directory, MSHR table, arbiter, NoC link, and
-// stat restarts as if NewSystem had just run, while warm capacity — array
-// backings, table slots, and the free lists (protocol messages, MSHRs,
-// pending trackers, dirLine slabs) — survives to be reused by the next run.
-// The caller must guarantee no run is in progress: no live protocol
-// messages, no busy directory lines, and no pending events (the engine is
-// reset separately by the machine layer, which also swaps the Tracer and
-// Telemetry sinks for the next run).
-func (s *System) Reset() {
-	s.Net.Reset()
-	if s.Arbiter != nil {
-		s.Arbiter.Reset()
-	}
-	for _, b := range s.Banks {
-		b.reset()
-	}
-	for _, l1 := range s.L1s {
-		l1.reset()
-	}
-	for i := range s.fired {
-		c := s.fired[i]
-		for j := range c {
-			c[j] = 0
-		}
-	}
 }
 
 // HomeBank returns the bank id a line maps to under line interleaving.

@@ -105,24 +105,6 @@ func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Co
 	return c
 }
 
-// reset rebinds the core to a new run (machine reset between runs): a new
-// program, a fresh stats sink, and a fresh per-core RNG stream. The staged-
-// counter map keeps its buckets (cleared in place, exactly as commits do);
-// the machine pointer, tile id, prebound completions and body buffer
-// survive.
-func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
-	c.prog = prog
-	c.st = st
-	c.rng = rng
-	c.secIdx = 0
-	c.retries = 0
-	c.token = 0
-	clear(c.staged)
-	c.resume.ops, c.resume.i, c.resume.tok, c.resume.done = nil, 0, 0, nil
-	c.body = c.body[:0]
-	c.fusedRuns = 0
-}
-
 func (c *Core) engine() *sim.Engine { return c.m.Engine }
 func (c *Core) now() uint64         { return c.m.Engine.Now() }
 func (c *Core) tx() *htm.TxState    { return c.m.Sys.L1s[c.id].Tx }

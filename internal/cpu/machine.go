@@ -167,48 +167,12 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 	return m
 }
 
-// Reset returns a constructed machine to pristine pre-run state in place
-// and rebinds it to a new run: a new seed, new per-thread programs, and a
-// fresh stats.Run (callers memoize the returned *stats.Run, so it must not
-// be recycled). Everything shape-dependent survives — cache array backings
-// (generation reset), directory and MSHR table capacity, free lists
-// (messages, MSHRs, pending trackers), the NoC route table, and the engine's
-// calendar-queue rings — which is what makes reset several times cheaper
-// than construction. The run that used this machine must have completed
-// cleanly (Run returned): no pending events, no live protocol messages, no
-// busy directory lines.
-//
-// Reset supports only bare machines: attached Tracer, Telemetry, or Probe
-// sinks are registered against the dead run and cannot be rebound, so such
-// machines must be rebuilt instead (the harness gates reuse accordingly).
-// The contract is bit-identity: reset-then-Run produces byte-for-byte the
-// same stats as building a fresh machine with the same shape and inputs —
-// pinned by the reuse golden tests and the reflection deep-state walk.
-func (m *Machine) Reset(seed uint64, label, workload string, programs []Program) {
-	if len(programs) != m.Cfg.Threads {
-		panic(fmt.Sprintf("cpu: reset with %d programs for %d threads", len(programs), m.Cfg.Threads))
-	}
-	if m.Cfg.Tracer != nil || m.Cfg.Telemetry != nil || m.Cfg.Probe != nil {
-		panic("cpu: reset of a machine with attached observers")
-	}
-	m.Cfg.Seed = seed
-	m.Engine.Reset()
-	m.Sys.Reset()
-	m.Lock.Reset()
-	m.Barrier.Reset()
-	m.Stats = stats.NewRun(label, workload, m.Cfg.Threads)
-	clear(m.counters)
-	m.running = 0
-	rng := sim.NewRNG(seed)
-	coreOf := mapThreads(m.Cfg.Placement, m.Cfg.Threads, m.Cfg.Machine.Cores)
-	for i, c := range m.Cores {
-		if c.id != coreOf[i] {
-			panic("cpu: reset changed the thread placement")
-		}
-		c.reset(programs[i], m.Stats.Cores[i], rng.Split(uint64(i)))
-	}
-	resetForget(m)
-}
+// Release recycles the machine's cache-array backing for a later build
+// (cache.Arena.Release). The machine is dead after the call: a later
+// machine overwrites its caches, so it must not be run, inspected, or
+// dumped again. The *stats.Run that Run returned stays valid; it holds no
+// cache state.
+func (m *Machine) Release() { m.Sys.Arena.Release() }
 
 // attachTelemetry wires the observability layer into the machine: the
 // coherence layer gets the conflict-provenance hook, every stats core feeds

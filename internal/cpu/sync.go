@@ -30,17 +30,6 @@ type lockWaiter struct {
 // NewSpinLock creates a free lock on the given line.
 func NewSpinLock(l mem.Line) *SpinLock { return &SpinLock{Line: l, owner: -1} }
 
-// Reset returns the lock to its just-constructed free state in place
-// (machine reset between runs). The queue backing survives — release slides
-// the slice forward, so re-slicing to zero length simply rewinds into
-// whatever backing the last run grew.
-func (s *SpinLock) Reset() {
-	s.held = false
-	s.owner = -1
-	s.queue = s.queue[:0]
-	s.Acquisitions, s.Handovers = 0, 0
-}
-
 // Held reports whether the lock is currently held.
 func (s *SpinLock) Held() bool { return s.held }
 
@@ -100,15 +89,6 @@ func NewBarrier(engine *sim.Engine, n int) *Barrier {
 		panic("cpu: barrier with no participants")
 	}
 	return &Barrier{engine: engine, n: n}
-}
-
-// Reset returns the barrier to its just-constructed state (machine reset
-// between runs). A clean run always ends with an empty waiting list —
-// Arrive drops it when the last participant crosses — so only the episode
-// counter needs clearing.
-func (b *Barrier) Reset() {
-	b.waiting = nil
-	b.Crossings = 0
 }
 
 // Arrive blocks the caller (cont is deferred) until all participants have

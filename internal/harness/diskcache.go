@@ -13,10 +13,9 @@ import (
 
 // The persistent sweep cache: one content-addressed JSON file per
 // (spec key, seed, schema version) under a directory (out/cache/ by
-// convention). Unlike the single-file Save/Load snapshot, the store is
-// incremental — every fresh result lands as its own file the moment it
-// finishes, so an interrupted sweep loses nothing and repeated sweeps are
-// near-free. The schema version is part of the address, so a format change
+// convention). The store is incremental — every fresh result lands as its
+// own file the moment it finishes, so an interrupted sweep loses nothing
+// and repeated sweeps are near-free. The schema version is part of the address, so a format change
 // simply misses old entries instead of misreading them.
 
 // diskCacheSchema versions the stored entry format; bump it whenever the
@@ -28,8 +27,12 @@ type DiskCache struct {
 	dir string
 }
 
-// OpenDiskCache opens (creating if needed) a disk cache rooted at dir.
+// OpenDiskCache opens (creating if needed) a disk cache rooted at dir. A
+// dir that names an existing regular file is an error.
 func OpenDiskCache(dir string) (*DiskCache, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("harness: disk cache: %s is a file, not a directory", dir)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: disk cache: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -34,6 +35,24 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	if _, ok := d.Load("k2", 7); ok {
 		t.Fatal("wrong key hit")
+	}
+}
+
+// TestOpenDiskCacheRejectsFile pins that the cache root must be a
+// directory: a path naming an existing regular file (such as a results
+// snapshot from an older build) fails to open instead of being mistaken for
+// a cache.
+func TestOpenDiskCacheRejectsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.json")
+	if err := os.WriteFile(path, []byte(`{"version":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDiskCache(path)
+	if err == nil {
+		t.Fatalf("OpenDiskCache(%s) = %v, want an error for a regular file", path, d.Dir())
+	}
+	if !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("error %q does not say the path is not a directory", err)
 	}
 }
 

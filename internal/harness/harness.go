@@ -144,32 +144,8 @@ func (s Spec) key() string {
 }
 
 // Key returns the spec's memo key — the identity used by the runner's
-// cache, the results file, and the obs run ledger.
+// memo, the disk cache, and the obs run ledger.
 func (s Spec) Key() string { return s.key() }
-
-// poolKey identifies the machine *shape* a spec needs: every key-affecting
-// dimension except the workload and seed, which Machine.Reset reprograms.
-// Two specs with the same poolKey can share one constructed machine across
-// resets.
-func (s Spec) poolKey() string {
-	k := fmt.Sprintf("%s|%d|%s", s.System.Name, s.Threads, s.Cache.Name)
-	if s.DisableFusion {
-		k += "|nofuse"
-	}
-	if s.Cores > 0 {
-		k += fmt.Sprintf("|cores%d", s.Cores)
-	}
-	if s.Topo != "" {
-		k += "|topo" + s.Topo
-	}
-	if s.MeshW > 0 || s.MeshH > 0 {
-		k += fmt.Sprintf("|grid%dx%d", s.MeshW, s.MeshH)
-	}
-	if s.ClusterSize > 0 {
-		k += fmt.Sprintf("|cl%d", s.ClusterSize)
-	}
-	return k
-}
 
 // GridFor returns the most-square W×H factorization of n tiles with W ≤ H,
 // matching Table I's 4x8 orientation at 32: 64→8x8, 128→8x16, 256→16x16,
@@ -231,9 +207,17 @@ type ExecOptions struct {
 }
 
 // ExecuteWith runs one simulation to completion with the given
-// instrumentation (ExecOptions{} runs bare).
+// instrumentation (ExecOptions{} runs bare) and releases the machine.
 func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
-	return NewMachineFor(s, opts).Run()
+	return runAndRelease(NewMachineFor(s, opts))
+}
+
+// runAndRelease runs a machine nothing else holds and releases it: the
+// returned stats are all that survives the run.
+func runAndRelease(m *cpu.Machine) (*stats.Run, error) {
+	res, err := m.Run()
+	m.Release()
+	return res, err
 }
 
 // NewMachineFor constructs the machine a spec describes, programmed and
@@ -243,9 +227,7 @@ func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 }
 
 // newMachine is NewMachineFor with the spec's programs supplied by the
-// caller: the runner passes its memoized set. The runner's reuse path
-// builds machines here once per shape and Resets them for every later spec
-// with the same poolKey.
+// caller: the runner passes its memoized set.
 func newMachine(s Spec, opts ExecOptions, progs []cpu.Program) *cpu.Machine {
 	p := s.MachineParams()
 	cfg := cpu.Config{
@@ -277,13 +259,6 @@ type Runner struct {
 	Workers int
 	// Log, when non-nil, receives one line per completed simulation.
 	Log func(string)
-	// Reuse pools constructed machines by shape (Spec.poolKey) and
-	// Resets them in place for each later spec of the same shape instead
-	// of rebuilding (DESIGN.md §15). Key-neutral: reset-then-run is
-	// bit-for-bit identical to fresh-build-then-run, so the flag changes
-	// host wall time and allocations only. Instrumented executions
-	// (Profiler, custom exec) always build fresh.
-	Reuse bool
 	// Disk, when non-nil, is the persistent content-addressed sweep
 	// cache: get() consults it after a memo miss and stores every fresh
 	// successful result. Hits produce ledger records with
@@ -303,15 +278,14 @@ type Runner struct {
 	Profiler *obs.Profiler
 
 	// exec runs one spec; tests may replace it before first use. Defaults
-	// to a machine built (or reset) from the runner's memoized programs,
-	// with the self-profiler probe when Profiler is set.
+	// to a machine built from the runner's memoized programs, with the
+	// self-profiler probe when Profiler is set.
 	exec func(Spec) (*stats.Run, error)
 
 	mu       sync.Mutex
 	results  map[string]*stats.Run
 	inflight map[string]*call
 	errs     []error
-	pool     machinePool
 	progs    programMemo
 }
 
@@ -340,14 +314,11 @@ type runAccount struct {
 // hit reports whether any cache satisfied the get.
 func (a runAccount) hit() bool { return a.CacheSrc != "" }
 
-// NewRunner creates a runner with DefaultWorkers(0) workers and machine
-// reuse on (results are bit-identical either way; Reuse=false is the
-// escape hatch).
+// NewRunner creates a runner with DefaultWorkers(0) workers.
 func NewRunner(seed uint64) *Runner {
 	return &Runner{
 		Seed:     seed,
 		Workers:  DefaultWorkers(0),
-		Reuse:    true,
 		results:  make(map[string]*stats.Run),
 		inflight: make(map[string]*call),
 	}
@@ -389,38 +360,12 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 	if r.Profiler != nil {
 		// Each run gets a private probe (probes are not safe for
 		// concurrent use); the sweep-level aggregate locks on merge.
-		// Machine.Reset refuses observer-attached machines, so the profiled
-		// path always builds fresh and never touches the pool.
 		p := obs.NewProfiler()
-		res, err := newMachine(s, ExecOptions{Probe: p}, r.progs.get(s)).Run()
+		res, err := runAndRelease(newMachine(s, ExecOptions{Probe: p}, r.progs.get(s)))
 		r.Profiler.Merge(p)
 		return res, err
 	}
-	if r.Reuse {
-		return r.executeReused(s)
-	}
-	return newMachine(s, ExecOptions{}, r.progs.get(s)).Run()
-}
-
-// executeReused satisfies one spec from the machine pool: take a machine of
-// the right shape and Reset it for this spec's workload and seed, or build
-// one if the pool has none. Machines return to the pool only after a clean
-// run — an errored machine's state is suspect, so it is dropped for the
-// garbage collector.
-func (r *Runner) executeReused(s Spec) (*stats.Run, error) {
-	pk := s.poolKey()
-	progs := r.progs.get(s)
-	m := r.pool.acquire(pk)
-	if m == nil {
-		m = newMachine(s, ExecOptions{}, progs)
-	} else {
-		m.Reset(s.Seed, s.System.Name, s.Workload.Name, progs)
-	}
-	res, err := m.Run()
-	if err == nil {
-		r.pool.release(pk, m)
-	}
-	return res, err
+	return runAndRelease(newMachine(s, ExecOptions{}, r.progs.get(s)))
 }
 
 // Get runs (or returns the memoized result of) a single spec. Concurrent

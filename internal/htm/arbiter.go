@@ -49,20 +49,6 @@ func NewArbiter(signatureBits int) *Arbiter {
 	}
 }
 
-// Reset returns the arbiter to its just-constructed state in place:
-// signatures flash-cleared, wake table emptied, no holder, no waiters, stats
-// zeroed. SendWake is kept — it is construction wiring (a closure over the
-// owning coherence system), not run state.
-func (a *Arbiter) Reset() {
-	a.holder = -1
-	a.holderMode = NonTx
-	a.waiting = a.waiting[:0]
-	a.OfRd.Clear()
-	a.OfWr.Clear()
-	a.wake.Clear()
-	a.Grants, a.Denies, a.QueuedGrants = 0, 0, 0
-}
-
 // Holder returns the core currently authorized for HTMLock mode, or -1.
 func (a *Arbiter) Holder() int { return a.holder }
 

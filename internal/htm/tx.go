@@ -82,14 +82,6 @@ func (t *TxState) Reset() {
 	t.WriteLines = 0
 }
 
-// ResetHard is Reset plus the per-attempt timestamp, returning the state to
-// its just-constructed zero (machine reset between runs). Core and Cfg are
-// construction wiring and survive.
-func (t *TxState) ResetHard() {
-	t.Reset()
-	t.AttemptStart = 0
-}
-
 // Doom marks the transaction for abort with the given cause; the first
 // cause wins (later dooms of an already-doomed transaction are ignored, as
 // in hardware where the abort status register is write-once per attempt).

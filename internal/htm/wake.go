@@ -71,16 +71,6 @@ func (w *WakeSet) Drain(fn func(core int)) {
 	}
 }
 
-// Clear empties the set in place, keeping the ext and scratch backings for
-// reuse (machine reset: the backing lengths are part of the machine shape,
-// their contents are all-zero either way).
-func (w *WakeSet) Clear() {
-	w.w0 = 0
-	for i := range w.ext {
-		w.ext[i] = 0
-	}
-}
-
 func drainWord(b uint64, base int, fn func(core int)) {
 	for b != 0 {
 		c := bits.TrailingZeros64(b)

@@ -115,20 +115,6 @@ func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 // Topo returns the underlying topology.
 func (n *Network) Topo() topology.Topology { return n.topo }
 
-// Reset returns the network to its just-constructed state in place: all
-// link reservations released and stats zeroed. The precomputed route table
-// and the on-demand scratch buffers are construction artifacts of the
-// (immutable) topology and survive; the simulated clock restarts at zero
-// after a machine reset, so stale busyUntil times must not.
-func (n *Network) Reset() {
-	for i := range n.busyUntil {
-		n.busyUntil[i] = 0
-	}
-	n.scratch = n.scratch[:0]
-	n.scratchIdxBuf = n.scratchIdxBuf[:0]
-	n.Messages, n.FlitHops, n.QueueWait = 0, 0, 0
-}
-
 // Send schedules deliver to run when a message of the given flit count
 // arrives at dst, reserving link bandwidth along the route.
 func (n *Network) Send(src, dst int, flits int, deliver func()) {

@@ -29,11 +29,10 @@ const LedgerSchemaVersion = 3
 // zeroed by Redacted.
 type Record struct {
 	// CacheHit reports whether the result came from a cache (the runner's
-	// memo, a loaded results file, or the on-disk sweep cache) instead of
-	// a fresh execution.
+	// memo or the on-disk sweep cache) instead of a fresh execution.
 	CacheHit bool `json:"cache_hit" obs:"det"`
 	// CacheSrc names the cache that satisfied a hit: "memo" for the
-	// runner's in-process memo (and loaded results files), "disk" for the
+	// runner's in-process memo, "disk" for the
 	// persistent content-addressed store. Empty — and omitted — for fresh
 	// executions.
 	CacheSrc string `json:"cache_src,omitempty" obs:"det"`

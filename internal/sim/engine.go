@@ -124,17 +124,6 @@ func NewEngine() *Engine {
 // Now returns the current simulation cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Reset returns the engine to its just-constructed state in place: clock and
-// sequence counter at zero, no pending events, executed count cleared. The
-// calendar-queue backings (ring buckets, heap slice) keep their grown
-// capacity — queue order never depends on capacity, only on (when, seq) —
-// so a reset machine schedules without re-growing. Watchdog and probe are
-// configuration and survive; no run may be in progress.
-func (e *Engine) Reset() {
-	e.now, e.seq, e.executed, e.lastProgress = 0, 0, 0, 0
-	e.q.reset()
-}
-
 // Executed returns the number of events executed so far; useful for
 // performance reporting and for tests asserting that work happened.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -292,25 +281,6 @@ func (e *Engine) watchdogErr() error {
 
 // pending returns the number of queued events.
 func (q *equeue) pending() int { return q.ringCount + len(q.heap) }
-
-// reset empties the queue in place, zeroing abandoned events so the GC can
-// reclaim their payloads while the bucket and heap backings stay warm.
-func (q *equeue) reset() {
-	for i := range q.ring {
-		b := &q.ring[i]
-		for j := range b.ev {
-			b.ev[j] = event{}
-		}
-		b.ev = b.ev[:0]
-		b.head = 0
-	}
-	q.ringCount = 0
-	q.ringMin = 0
-	for i := range q.heap {
-		q.heap[i] = event{}
-	}
-	q.heap = q.heap[:0]
-}
 
 // push inserts ev (when and seq already assigned) routing by horizon: ring
 // if fewer than ringSize cycles out relative to now, heap otherwise.

@@ -21,12 +21,12 @@ go test -run '^$' -benchmem \
 
 echo "running component and full-sim benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkEngineEvents|BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkSpinContended|BenchmarkParallelSimulatorThroughput|BenchmarkTelemetryDisabledOverhead|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
+    -bench '^(BenchmarkEngineEvents|BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkSpinContended|BenchmarkTelemetryDisabledOverhead|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
     . >>"$TMP"
 
-echo "running machine-reuse benchmarks..." >&2
+echo "running machine-build and sweep benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkMachineConstruction|BenchmarkMachineReset|BenchmarkSweepThroughput)$' \
+    -bench '^(BenchmarkMachineConstruction|BenchmarkSweepThroughput)$' \
     . >>"$TMP"
 
 echo "running core-count scaling benchmark..." >&2
