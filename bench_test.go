@@ -339,12 +339,19 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
-func BenchmarkNoCSend(b *testing.B) {
+func BenchmarkNoCSend(b *testing.B) { benchNoCSend(b, topology.NewMesh(4, 8)) }
+
+// BenchmarkNoCSendMesh16 is the per-message routing and link-reservation
+// cost on the 256-core scaling sweep's 16x16 mesh.
+func BenchmarkNoCSendMesh16(b *testing.B) { benchNoCSend(b, topology.NewMesh(16, 16)) }
+
+func benchNoCSend(b *testing.B, topo topology.Topology) {
 	e := sim.NewEngine()
-	net := noc.New(e, topology.NewMesh(4, 8), noc.DefaultConfig())
+	net := noc.New(e, topo, noc.DefaultConfig())
+	n := topo.Tiles()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Send(i%32, (i*7)%32, noc.DataFlits, func() {})
+		net.Send(i%n, (i*7)%n, noc.DataFlits, func() {})
 		if i%1024 == 0 {
 			for e.Step() {
 			}
@@ -589,6 +596,24 @@ func buildBenchSpec() harness.Spec {
 // arena backing the way sweep executions do.
 func BenchmarkMachineConstruction(b *testing.B) {
 	spec := buildBenchSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := harness.NewMachineFor(spec, harness.ExecOptions{})
+		if m == nil {
+			b.Fatal("no machine")
+		}
+		m.Release()
+	}
+}
+
+// BenchmarkMachineConstructionScaled is the per-spec build cost of the
+// 256-core scaling sweep: one 16x16-mesh machine with the two-level
+// directory (harness.ScalingSpec) under LockillerTM, released after each
+// build.
+func BenchmarkMachineConstructionScaled(b *testing.B) {
+	sys, _ := harness.SystemByName("LockillerTM")
+	spec := harness.ScalingSpec(sys, stamp.Intruder(), 256)
+	spec.Seed = 1
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMachineFor(spec, harness.ExecOptions{})

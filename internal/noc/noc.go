@@ -48,25 +48,17 @@ type Network struct {
 	topo   topology.Topology
 	cfg    Config
 
-	// busyUntil[from*tiles+to] is the cycle at which the directed link
-	// from→to becomes free. A flat slice rather than a map keyed by
-	// topology.Link: the lookup runs once per link per message on the
-	// hottest path in the simulator, and hashing a 16-byte struct key
-	// dominated whole-run profiles. tiles² entries is 8 KiB for the
-	// paper's 32-tile mesh and 8 MiB at the 1024-tile ceiling — still far
-	// cheaper than per-message hashing; non-adjacent pairs simply stay
-	// zero.
+	// busyUntil[id] is the cycle at which the directed link with dense id
+	// id (topology.linkID: router*4 + port) becomes free. A flat slice
+	// rather than a map keyed by topology.Link: the lookup runs once per
+	// link per message on the hottest path in the simulator, and hashing
+	// a 16-byte struct key dominated whole-run profiles. Four entries per
+	// tile is 8 KiB at 256 tiles and 32 KiB at the 1024-tile ceiling.
 	busyUntil []uint64
-	tiles     int
 
-	// routes[src*tiles+dst] lists the flat busyUntil indices of the links
-	// along the route, precomputed so the arrival loop walks a dense int32
-	// slice instead of re-deriving link identities per message. Machines
-	// beyond topology.RouteTableTiles skip the tiles² table and route on
-	// demand into scratch instead.
-	routes        [][]int32
-	scratch       []topology.Link
-	scratchIdxBuf []int32
+	// route is the link-id buffer each message's route is appended into,
+	// reused across messages so routing on demand allocates nothing.
+	route []int32
 
 	// Tracer, when non-nil, records CatNoC events: link enqueue,
 	// serialization stalls, and scheduled delivery.
@@ -80,36 +72,12 @@ type Network struct {
 
 // New creates a network over the given topology.
 func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
-	t := topo.Tiles()
-	n := &Network{
+	return &Network{
 		engine:    engine,
 		topo:      topo,
 		cfg:       cfg,
-		busyUntil: make([]uint64, t*t),
-		tiles:     t,
+		busyUntil: make([]uint64, 4*topo.Tiles()),
 	}
-	if t > topology.RouteTableTiles {
-		return n // on-demand routing via scratch
-	}
-	routes := make([][]int32, t*t)
-	total := 0
-	for src := 0; src < t; src++ {
-		for dst := 0; dst < t; dst++ {
-			total += topo.Hops(src, dst)
-		}
-	}
-	backing := make([]int32, 0, total) // one allocation backs every route
-	for src := 0; src < t; src++ {
-		for dst := 0; dst < t; dst++ {
-			start := len(backing)
-			for _, l := range topo.Route(src, dst) {
-				backing = append(backing, int32(l.From*t+l.To))
-			}
-			routes[src*t+dst] = backing[start:len(backing):len(backing)]
-		}
-	}
-	n.routes = routes
-	return n
 }
 
 // Topo returns the underlying topology.
@@ -138,15 +106,8 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	if src == dst {
 		return now + maxU64(n.cfg.LocalLatency, 1)
 	}
-	var route []int32
-	if n.routes != nil {
-		route = n.routes[src*n.tiles+dst]
-	} else {
-		// On-demand routing for machines beyond the precompute bound; the
-		// scratch link buffer is reused across messages.
-		n.scratch = n.topo.AppendRoute(n.scratch[:0], src, dst)
-		route = n.scratchIdx(n.scratch)
-	}
+	n.route = n.topo.AppendRoute(n.route[:0], src, dst)
+	route := n.route
 	if len(route) == 0 {
 		// Distinct tiles on the same router (concentrated mesh): the local
 		// crossbar, like a tile talking to itself. Never zero cycles.
@@ -180,19 +141,6 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 		n.Tracer.Emitf(dst, trace.CatNoC, 0, "dequeue %d->%d at=%d", src, dst, t)
 	}
 	return t
-}
-
-// scratchIdx converts scratch links to flat busyUntil indices in place —
-// an int32 slice aliasing a separate reused buffer.
-func (n *Network) scratchIdx(links []topology.Link) []int32 {
-	if cap(n.scratchIdxBuf) < len(links) {
-		n.scratchIdxBuf = make([]int32, len(links), 2*len(links))
-	}
-	idx := n.scratchIdxBuf[:len(links)]
-	for i, l := range links {
-		idx[i] = int32(l.From*n.tiles + l.To)
-	}
-	return idx
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -13,6 +13,26 @@ import "fmt"
 // concentrated mesh: between the representative tiles of adjacent routers).
 type Link struct{ From, To int }
 
+// linkID returns the dense id of the link leaving router along axis
+// (0 = x, 1 = y) in direction dir (+1/-1). Routes are sequences of these
+// ids: the link leaving router r through port p (0..3 = +x, -x, +y, -y)
+// has id r*4 + p, so every id is below 4*Tiles() and the NoC can key
+// per-link state with a flat 4-per-router slice. On every link a route
+// can use, the id and the (from, to) pair it decodes to (Topology.Link)
+// determine each other. The one degenerate case is a torus ring of length
+// 2, where +1 and -1 reach the same neighbour: ringDist breaks that tie
+// toward +1, so the -x and -y ports are never used there.
+func linkID(router, axis, dir int) int32 {
+	return int32(router*4 + axis*2 + (1-dir)/2)
+}
+
+// decodeLink splits a dense link id into its router, axis (0 = x, 1 = y)
+// and direction (+1/-1).
+func decodeLink(id int32) (router, axis, dir int) {
+	port := int(id % 4)
+	return int(id / 4), port / 2, 1 - 2*(port%2)
+}
+
 // Topology is the interconnect shape the NoC and the machine layer consume.
 // Every implementation routes deterministically: the same (src, dst) pair
 // always takes the same path, which the bit-for-bit replay guarantee
@@ -21,29 +41,21 @@ type Topology interface {
 	// Tiles returns the number of tiles.
 	Tiles() int
 	// Hops returns the number of links a message from src to dst
-	// traverses; Hops(src, dst) == len(Route(src, dst)) on every shape.
+	// traverses; Hops(src, dst) == len(AppendRoute(nil, src, dst)) on
+	// every shape.
 	Hops(src, dst int) int
-	// Route returns the ordered links traversed from src to dst. An empty
-	// route means src == dst or (concentrated mesh) the two tiles share a
-	// router. The returned slice may be shared precomputed state and must
-	// not be mutated; large machines compute it on demand, so hot paths
-	// should prefer AppendRoute.
-	Route(src, dst int) []Link
-	// AppendRoute appends the route's links to buf and returns it — the
-	// allocation-free variant for per-message routing on machines too
-	// large for a precomputed route table.
-	AppendRoute(buf []Link, src, dst int) []Link
+	// AppendRoute appends the dense ids of the links traversed from src to
+	// dst, in order, to buf and returns it. It appends nothing when
+	// src == dst or (concentrated mesh) the two tiles share a router.
+	AppendRoute(buf []int32, src, dst int) []int32
+	// Link decodes a dense link id into the tiles it joins.
+	Link(id int32) Link
 	// NumLinks returns the number of distinct directed links, used to
 	// normalize link-occupancy telemetry.
 	NumLinks() int
 	// Name identifies the shape ("mesh", "torus", "cmesh").
 	Name() string
 }
-
-// RouteTableTiles bounds full route-table precomputation: a T-tile machine
-// stores T^2 routes, so shapes beyond this fall back to computing routes on
-// demand (the NoC applies the same bound to its link-index tables).
-const RouteTableTiles = 256
 
 // New builds a topology by name. w and h are the router grid; conc is the
 // tiles-per-router concentration (cmesh only; ignored elsewhere).
@@ -62,40 +74,14 @@ func New(kind string, w, h, conc int) (Topology, error) {
 // --- Mesh ------------------------------------------------------------------
 
 // Mesh is a W x H grid of tiles numbered row-major: tile = y*W + x.
-type Mesh struct {
-	W, H int
-	// routes[src*Tiles+dst] is the precomputed X-Y route, shared by all
-	// copies of the Mesh value. Callers must treat routes as read-only.
-	// Nil on machines beyond RouteTableTiles (on-demand routing).
-	routes [][]Link
-}
+type Mesh struct{ W, H int }
 
-// NewMesh validates the dimensions and returns the mesh. Small machines get
-// their route table precomputed (routing is deterministic, so every
-// (src, dst) pair always takes the same path); big ones route on demand.
+// NewMesh validates the dimensions and returns the mesh.
 func NewMesh(w, h int) Mesh {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
 	}
-	m := Mesh{W: w, H: h}
-	m.routes = precompute(m)
-	return m
-}
-
-// precompute builds the full route table for a small topology, nil for one
-// beyond the precomputation bound.
-func precompute(t Topology) [][]Link {
-	n := t.Tiles()
-	if n > RouteTableTiles {
-		return nil
-	}
-	routes := make([][]Link, n*n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			routes[src*n+dst] = t.AppendRoute(nil, src, dst)
-		}
-	}
-	return routes
+	return Mesh{W: w, H: h}
 }
 
 // Name implements Topology.
@@ -122,33 +108,17 @@ func (m Mesh) Hops(src, dst int) int {
 // and H*(W-1) horizontal channels, each bidirectional.
 func (m Mesh) NumLinks() int { return 2 * (m.W*(m.H-1) + m.H*(m.W-1)) }
 
-// Route returns the X-Y route from src to dst (see Topology.Route).
-func (m Mesh) Route(src, dst int) []Link {
-	if m.routes != nil {
-		return m.routes[src*m.Tiles()+dst]
-	}
-	return m.AppendRoute(nil, src, dst)
-}
-
 // AppendRoute implements Topology: dimension-ordered X-then-Y routing.
-func (m Mesh) AppendRoute(buf []Link, src, dst int) []Link {
-	if src == dst {
-		return buf
-	}
+func (m Mesh) AppendRoute(buf []int32, src, dst int) []int32 {
 	sx, sy := m.XY(src)
 	dx, dy := m.XY(dst)
-	x, y := sx, sy
-	for x != dx {
-		nx := x + step(x, dx)
-		buf = append(buf, Link{From: m.Tile(x, y), To: m.Tile(nx, y)})
-		x = nx
-	}
-	for y != dy {
-		ny := y + step(y, dy)
-		buf = append(buf, Link{From: m.Tile(x, y), To: m.Tile(x, ny)})
-		y = ny
-	}
-	return buf
+	return appendXY(buf, m.W, sx, sy, dx, dy)
+}
+
+// Link implements Topology.
+func (m Mesh) Link(id int32) Link {
+	from, axis, dir := decodeLink(id)
+	return Link{From: from, To: gridStep(from, m.W, axis, dir)}
 }
 
 // --- Torus -----------------------------------------------------------------
@@ -162,19 +132,14 @@ func (m Mesh) AppendRoute(buf []Link, src, dst int) []Link {
 // dateline convention exists so the modeled routes match a deadlock-free
 // two-VC dateline implementation and, more importantly here, so every
 // (src, dst) pair routes identically on every run (DESIGN.md §13).
-type Torus struct {
-	W, H   int
-	routes [][]Link
-}
+type Torus struct{ W, H int }
 
 // NewTorus validates the dimensions and returns the torus.
 func NewTorus(w, h int) Torus {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("topology: invalid torus %dx%d", w, h))
 	}
-	t := Torus{W: w, H: h}
-	t.routes = precompute(t)
-	return t
+	return Torus{W: w, H: h}
 }
 
 // Name implements Topology.
@@ -216,8 +181,8 @@ func (t Torus) Hops(src, dst int) int {
 
 // NumLinks returns the number of distinct directed links. A ring of length
 // L contributes 2L directed links (L each way); length 2 degenerates to one
-// bidirectional channel pair (the two directions collapse onto the same
-// (from, to) identities), and length 1 contributes none.
+// bidirectional channel pair (both directions reach the same neighbour, and
+// routes only use the +1 one), and length 1 contributes none.
 func (t Torus) NumLinks() int { return t.H*ringLinks(t.W) + t.W*ringLinks(t.H) }
 
 func ringLinks(l int) int {
@@ -230,60 +195,57 @@ func ringLinks(l int) int {
 	return 2 * l
 }
 
-// Route returns the dimension-ordered wraparound route (see Topology.Route).
-func (t Torus) Route(src, dst int) []Link {
-	if t.routes != nil {
-		return t.routes[src*t.Tiles()+dst]
-	}
-	return t.AppendRoute(nil, src, dst)
-}
-
 // AppendRoute implements Topology: X then Y, each the shorter way around.
-func (t Torus) AppendRoute(buf []Link, src, dst int) []Link {
-	if src == dst {
-		return buf
-	}
-	sx, sy := t.XY(src)
+func (t Torus) AppendRoute(buf []int32, src, dst int) []int32 {
+	x, y := t.XY(src)
 	dx, dy := t.XY(dst)
-	x, y := sx, sy
-	hx, dirX := ringDist(sx, dx, t.W)
+	hx, dirX := ringDist(x, dx, t.W)
 	for i := 0; i < hx; i++ {
-		nx := ((x+dirX)%t.W + t.W) % t.W
-		buf = append(buf, Link{From: t.Tile(x, y), To: t.Tile(nx, y)})
-		x = nx
+		buf = append(buf, linkID(t.Tile(x, y), 0, dirX))
+		x = wrap(x+dirX, t.W)
 	}
-	hy, dirY := ringDist(sy, dy, t.H)
+	hy, dirY := ringDist(y, dy, t.H)
 	for i := 0; i < hy; i++ {
-		ny := ((y+dirY)%t.H + t.H) % t.H
-		buf = append(buf, Link{From: t.Tile(x, y), To: t.Tile(x, ny)})
-		y = ny
+		buf = append(buf, linkID(t.Tile(x, y), 1, dirY))
+		y = wrap(y+dirY, t.H)
 	}
 	return buf
 }
+
+// Link implements Topology.
+func (t Torus) Link(id int32) Link {
+	from, axis, dir := decodeLink(id)
+	x, y := t.XY(from)
+	if axis == 0 {
+		x = wrap(x+dir, t.W)
+	} else {
+		y = wrap(y+dir, t.H)
+	}
+	return Link{From: from, To: t.Tile(x, y)}
+}
+
+// wrap reduces a coordinate one step off a ring of length n back onto it.
+func wrap(v, n int) int { return (v%n + n) % n }
 
 // --- Concentrated mesh -----------------------------------------------------
 
 // CMesh is a concentrated mesh: a W x H router grid with Conc tiles sharing
 // each router through a local crossbar. Tiles are numbered so tile t
 // attaches to router t/Conc; inter-router links are identified by the
-// routers' representative tiles (router r's first tile, r*Conc), so all
-// tiles of a router contend for the same physical channels. Same-router
-// messages take the crossbar (an empty route; the NoC charges its local
-// latency), which is what makes concentration attractive at high tile
-// counts — a 256-tile machine needs only an 8x8 router grid at Conc=4.
-type CMesh struct {
-	W, H, Conc int
-	routes     [][]Link
-}
+// routers (Link names them by representative tiles, router r's first tile
+// r*Conc), so all tiles of a router contend for the same physical
+// channels. Same-router messages take the crossbar (an empty route; the
+// NoC charges its local latency), which is what makes concentration
+// attractive at high tile counts — a 256-tile machine needs only an 8x8
+// router grid at Conc=4.
+type CMesh struct{ W, H, Conc int }
 
 // NewCMesh validates the dimensions and returns the concentrated mesh.
 func NewCMesh(w, h, conc int) CMesh {
 	if w <= 0 || h <= 0 || conc <= 0 {
 		panic(fmt.Sprintf("topology: invalid cmesh %dx%dx%d", w, h, conc))
 	}
-	c := CMesh{W: w, H: h, Conc: conc}
-	c.routes = precompute(c)
-	return c
+	return CMesh{W: w, H: h, Conc: conc}
 }
 
 // Name implements Topology.
@@ -311,36 +273,46 @@ func (c CMesh) Hops(src, dst int) int {
 // NumLinks returns the router grid's distinct directed links.
 func (c CMesh) NumLinks() int { return 2 * (c.W*(c.H-1) + c.H*(c.W-1)) }
 
-// Route returns the router-grid X-Y route (see Topology.Route).
-func (c CMesh) Route(src, dst int) []Link {
-	if c.routes != nil {
-		return c.routes[src*c.Tiles()+dst]
-	}
-	return c.AppendRoute(nil, src, dst)
+// AppendRoute implements Topology: X-Y over the router grid.
+func (c CMesh) AppendRoute(buf []int32, src, dst int) []int32 {
+	sx, sy := c.routerXY(c.Router(src))
+	dx, dy := c.routerXY(c.Router(dst))
+	return appendXY(buf, c.W, sx, sy, dx, dy)
 }
 
-// AppendRoute implements Topology: X-Y over the router grid, links between
+// Link implements Topology: the link between two routers, named by their
 // representative tiles.
-func (c CMesh) AppendRoute(buf []Link, src, dst int) []Link {
-	r1, r2 := c.Router(src), c.Router(dst)
-	if r1 == r2 {
-		return buf
+func (c CMesh) Link(id int32) Link {
+	from, axis, dir := decodeLink(id)
+	return Link{From: c.repTile(from), To: c.repTile(gridStep(from, c.W, axis, dir))}
+}
+
+// appendXY appends the dimension-ordered X-then-Y route from router (x, y)
+// to router (dx, dy) of a w-wide grid, numbered row-major.
+func appendXY(buf []int32, w, x, y, dx, dy int) []int32 {
+	r := y*w + x
+	for ; x < dx; x, r = x+1, r+1 {
+		buf = append(buf, linkID(r, 0, +1))
 	}
-	sx, sy := c.routerXY(r1)
-	dx, dy := c.routerXY(r2)
-	x, y := sx, sy
-	rep := func(x, y int) int { return c.repTile(y*c.W + x) }
-	for x != dx {
-		nx := x + step(x, dx)
-		buf = append(buf, Link{From: rep(x, y), To: rep(nx, y)})
-		x = nx
+	for ; x > dx; x, r = x-1, r-1 {
+		buf = append(buf, linkID(r, 0, -1))
 	}
-	for y != dy {
-		ny := y + step(y, dy)
-		buf = append(buf, Link{From: rep(x, y), To: rep(x, ny)})
-		y = ny
+	for ; y < dy; y, r = y+1, r+w {
+		buf = append(buf, linkID(r, 1, +1))
+	}
+	for ; y > dy; y, r = y-1, r-w {
+		buf = append(buf, linkID(r, 1, -1))
 	}
 	return buf
+}
+
+// gridStep returns the router one hop from router r of a w-wide grid,
+// numbered row-major, along axis (0 = x, 1 = y) in direction dir.
+func gridStep(r, w, axis, dir int) int {
+	if axis == 0 {
+		return r + dir
+	}
+	return r + dir*w
 }
 
 func abs(v int) int {
@@ -348,11 +320,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-func step(from, to int) int {
-	if from < to {
-		return 1
-	}
-	return -1
 }

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// route decodes the dense link ids of the src->dst route into links.
+func route(topo Topology, src, dst int) []Link {
+	var r []Link
+	for _, id := range topo.AppendRoute(nil, src, dst) {
+		r = append(r, topo.Link(id))
+	}
+	return r
+}
+
 func TestXYRoundTrip(t *testing.T) {
 	m := NewMesh(4, 8)
 	for tile := 0; tile < m.Tiles(); tile++ {
@@ -21,7 +30,7 @@ func TestRouteLengthEqualsHops(t *testing.T) {
 	if err := quick.Check(func(a, b uint8) bool {
 		src := int(a) % m.Tiles()
 		dst := int(b) % m.Tiles()
-		return len(m.Route(src, dst)) == m.Hops(src, dst)
+		return len(m.AppendRoute(nil, src, dst)) == m.Hops(src, dst)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +40,7 @@ func TestRouteContiguousAdjacent(t *testing.T) {
 	m := NewMesh(4, 8)
 	for src := 0; src < m.Tiles(); src++ {
 		for dst := 0; dst < m.Tiles(); dst++ {
-			r := m.Route(src, dst)
+			r := route(m, src, dst)
 			cur := src
 			for _, l := range r {
 				if l.From != cur {
@@ -51,7 +60,7 @@ func TestRouteContiguousAdjacent(t *testing.T) {
 
 func TestRouteXBeforeY(t *testing.T) {
 	m := NewMesh(4, 8)
-	r := m.Route(m.Tile(0, 0), m.Tile(3, 2))
+	r := route(m, m.Tile(0, 0), m.Tile(3, 2))
 	// First 3 links must move in X, the rest in Y.
 	for i, l := range r {
 		fx, fy := m.XY(l.From)
@@ -70,7 +79,7 @@ func TestRouteXBeforeY(t *testing.T) {
 
 func TestRouteSelf(t *testing.T) {
 	m := NewMesh(4, 8)
-	if len(m.Route(5, 5)) != 0 {
+	if len(m.AppendRoute(nil, 5, 5)) != 0 {
 		t.Fatal("self route should be empty")
 	}
 	if m.Hops(5, 5) != 0 {
@@ -106,28 +115,30 @@ func TestNewFactory(t *testing.T) {
 }
 
 // checkRoute validates the universal route properties on any shape: the
-// route is contiguous from src's router region to dst's, every link spans
-// exactly one hop, Hops(src,dst) == len(Route(src,dst)), AppendRoute agrees
-// with Route, and hops are symmetric.
+// route is contiguous from src's router region to dst's, every link id is
+// below 4*Tiles() and decodes to a link spanning exactly one hop,
+// Hops(src,dst) == the route length, AppendRoute keeps what buf already
+// holds, and hops are symmetric.
 func checkRoute(t *testing.T, topo Topology, src, dst int) {
 	t.Helper()
-	r := topo.Route(src, dst)
-	if len(r) != topo.Hops(src, dst) {
-		t.Fatalf("%s %d->%d: len(Route)=%d != Hops=%d", topo.Name(), src, dst, len(r), topo.Hops(src, dst))
+	ids := topo.AppendRoute([]int32{-1}, src, dst)
+	if ids[0] != -1 {
+		t.Fatalf("%s %d->%d: AppendRoute overwrote buf", topo.Name(), src, dst)
+	}
+	ids = ids[1:]
+	if len(ids) != topo.Hops(src, dst) {
+		t.Fatalf("%s %d->%d: route length %d != Hops=%d", topo.Name(), src, dst, len(ids), topo.Hops(src, dst))
 	}
 	if topo.Hops(src, dst) != topo.Hops(dst, src) {
 		t.Fatalf("%s: Hops(%d,%d)=%d asymmetric with Hops(%d,%d)=%d",
 			topo.Name(), src, dst, topo.Hops(src, dst), dst, src, topo.Hops(dst, src))
 	}
-	ar := topo.AppendRoute(nil, src, dst)
-	if len(ar) != len(r) {
-		t.Fatalf("%s %d->%d: AppendRoute/Route disagree: %v vs %v", topo.Name(), src, dst, ar, r)
-	}
-	for i := range r {
-		if r[i] != ar[i] {
-			t.Fatalf("%s %d->%d: AppendRoute/Route disagree at %d: %v vs %v", topo.Name(), src, dst, i, ar[i], r[i])
+	for _, id := range ids {
+		if id < 0 || int(id) >= 4*topo.Tiles() {
+			t.Fatalf("%s %d->%d: link id %d outside [0, %d)", topo.Name(), src, dst, id, 4*topo.Tiles())
 		}
 	}
+	r := route(topo, src, dst)
 	if len(r) == 0 {
 		if topo.Hops(src, dst) != 0 {
 			t.Fatalf("%s %d->%d: empty route but %d hops", topo.Name(), src, dst, topo.Hops(src, dst))
@@ -242,7 +253,7 @@ func TestTorusWraparound(t *testing.T) {
 	if got := tr.Hops(tr.Tile(0, 0), tr.Tile(0, 3)); got != 1 {
 		t.Fatalf("torus y-wraparound: Hops=%d, want 1", got)
 	}
-	r := tr.Route(tr.Tile(0, 0), tr.Tile(7, 0))
+	r := route(tr, tr.Tile(0, 0), tr.Tile(7, 0))
 	if len(r) != 1 || r[0] != (Link{From: tr.Tile(0, 0), To: tr.Tile(7, 0)}) {
 		t.Fatalf("torus wraparound route: %v", r)
 	}
@@ -260,7 +271,7 @@ func TestTorusDatelineTieBreak(t *testing.T) {
 	// around; the dateline rule resolves it toward increasing coordinate,
 	// so the first link must step from x to x+1.
 	tr := NewTorus(8, 1)
-	r := tr.Route(tr.Tile(1, 0), tr.Tile(5, 0)) // distance 4 both ways
+	r := route(tr, tr.Tile(1, 0), tr.Tile(5, 0)) // distance 4 both ways
 	if len(r) != 4 {
 		t.Fatalf("halfway route length %d, want 4", len(r))
 	}
@@ -280,7 +291,7 @@ func TestCMeshSameRouter(t *testing.T) {
 			if c.Hops(a, b) != 0 {
 				t.Fatalf("same-router tiles %d,%d: Hops=%d", a, b, c.Hops(a, b))
 			}
-			if len(c.Route(a, b)) != 0 {
+			if len(c.AppendRoute(nil, a, b)) != 0 {
 				t.Fatalf("same-router tiles %d,%d: non-empty route", a, b)
 			}
 		}
@@ -292,18 +303,24 @@ func TestCMeshSameRouter(t *testing.T) {
 	}
 }
 
+// linkShapes are small shapes covering every kind and the degenerate rings
+// (a torus ring of length 2 and of length 1, a one-column mesh).
+func linkShapes() []Topology {
+	return []Topology{
+		NewMesh(4, 8), NewMesh(1, 6), NewTorus(4, 4), NewTorus(2, 5),
+		NewTorus(1, 4), NewCMesh(3, 3, 2), NewCMesh(4, 2, 4),
+	}
+}
+
 func TestNumLinksMatchesEnumeration(t *testing.T) {
 	// NumLinks must equal the number of distinct directed links that appear
 	// across all routes of the shape.
-	for _, topo := range []Topology{
-		NewMesh(4, 8), NewMesh(1, 6), NewTorus(4, 4), NewTorus(2, 5),
-		NewTorus(1, 4), NewCMesh(3, 3, 2), NewCMesh(4, 2, 4),
-	} {
+	for _, topo := range linkShapes() {
 		seen := map[Link]bool{}
 		n := topo.Tiles()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				for _, l := range topo.Route(src, dst) {
+				for _, l := range route(topo, src, dst) {
 					seen[l] = true
 				}
 			}
@@ -315,34 +332,51 @@ func TestNumLinksMatchesEnumeration(t *testing.T) {
 	}
 }
 
-func TestOnDemandRoutingMatchesPrecomputed(t *testing.T) {
-	// A shape beyond the precomputation bound routes on demand; its routes
-	// must match a precomputed shape's wherever both are defined. 32x32 is
-	// beyond the bound, 16x16 within it: compare the 16x16 sub-grid routes
-	// whose X-Y paths stay inside it.
-	big := NewMesh(32, 32)
-	if big.routes != nil {
-		t.Fatal("32x32 mesh should not precompute routes")
-	}
-	small := NewMesh(16, 16)
-	if small.routes == nil {
-		t.Fatal("16x16 mesh should precompute routes")
-	}
-	for _, pair := range [][2][2]int{
-		{{0, 0}, {15, 15}}, {{3, 7}, {12, 2}}, {{15, 0}, {0, 15}},
-	} {
-		s, d := pair[0], pair[1]
-		rs := small.Route(small.Tile(s[0], s[1]), small.Tile(d[0], d[1]))
-		rb := big.Route(big.Tile(s[0], s[1]), big.Tile(d[0], d[1]))
-		if len(rs) != len(rb) {
-			t.Fatalf("route length mismatch: %d vs %d", len(rs), len(rb))
-		}
-		for i := range rs {
-			fx, fy := small.XY(rs[i].From)
-			tx, ty := small.XY(rs[i].To)
-			if rb[i].From != big.Tile(fx, fy) || rb[i].To != big.Tile(tx, ty) {
-				t.Fatalf("route step %d differs between precomputed and on-demand", i)
+// TestDenseLinkIDs checks the dense link-id space over every pair of every
+// shape, up to the 1024-tile mesh: ids stay below 4*Tiles(), each decodes
+// to a one-hop link, each route runs contiguously from src to dst in Hops
+// links, and ids and decoded links correspond one-to-one — the property
+// that lets the NoC key link contention by id instead of by (from, to).
+func TestDenseLinkIDs(t *testing.T) {
+	shapes := append(linkShapes(), NewMesh(16, 16), NewMesh(32, 32))
+	for _, topo := range shapes {
+		n := topo.Tiles()
+		seen := make([]bool, 4*n)
+		idOf := map[Link]int32{}
+		var buf []int32
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				buf = topo.AppendRoute(buf[:0], src, dst)
+				if len(buf) != topo.Hops(src, dst) {
+					t.Fatalf("%s %d->%d: %d links, Hops=%d", topo.Name(), src, dst, len(buf), topo.Hops(src, dst))
+				}
+				at := src
+				for _, id := range buf {
+					if id < 0 || int(id) >= 4*n {
+						t.Fatalf("%s %d->%d: id %d outside [0, %d)", topo.Name(), src, dst, id, 4*n)
+					}
+					l := topo.Link(id)
+					if topo.Hops(l.From, l.To) != 1 || topo.Hops(at, l.From) != 0 {
+						t.Fatalf("%s %d->%d: link %d = %v is not the next hop from %d", topo.Name(), src, dst, id, l, at)
+					}
+					at = l.To
+					if seen[id] {
+						continue
+					}
+					// Link is a function of id, so one-to-one needs only
+					// that no two ids decode to the same link.
+					if prev, ok := idOf[l]; ok {
+						t.Fatalf("%s: link %v has ids %d and %d", topo.Name(), l, prev, id)
+					}
+					seen[id], idOf[l] = true, id
+				}
+				if topo.Hops(at, dst) != 0 {
+					t.Fatalf("%s %d->%d: route ends at %d", topo.Name(), src, dst, at)
+				}
 			}
+		}
+		if len(idOf) != topo.NumLinks() {
+			t.Fatalf("%s: routes use %d distinct ids, NumLinks=%d", topo.Name(), len(idOf), topo.NumLinks())
 		}
 	}
 }

@@ -21,12 +21,12 @@ go test -run '^$' -benchmem \
 
 echo "running component and full-sim benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkEngineEvents|BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkSpinContended|BenchmarkTelemetryDisabledOverhead|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
+    -bench '^(BenchmarkEngineEvents|BenchmarkNoCSend|BenchmarkNoCSendMesh16|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkSpinContended|BenchmarkTelemetryDisabledOverhead|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
     . >>"$TMP"
 
 echo "running machine-build and sweep benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkMachineConstruction|BenchmarkSweepThroughput)$' \
+    -bench '^(BenchmarkMachineConstruction|BenchmarkMachineConstructionScaled|BenchmarkSweepThroughput)$' \
     . >>"$TMP"
 
 echo "running core-count scaling benchmark..." >&2
