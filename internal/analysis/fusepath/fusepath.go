@@ -8,6 +8,14 @@
 // hits on a path fusion cannot see, silently breaking the bit-for-bit
 // on/off equivalence the golden and differential tests pin.
 //
+// Two things sit beside the rule without breaking it. Engine.PeekNext sees
+// engine ticks as well as events, so a pending lock-spin tick bounds a
+// fused run like any event. And the lock spin completes a guaranteed hit
+// (L1.SpinHit) outside finishHit: the core schedules a check tick that
+// occupies the slot evL1Done would have taken, so no second evL1Done site
+// exists and fusion, which never runs the spin re-read, is unaffected
+// (DESIGN.md §10, "Allocation-free lock spin").
+//
 // The analyzer flags any call in the coherence package that passes the
 // evL1Done event kind to a scheduler outside finishHit. A deliberate new
 // scheduling site must be waived with //lockiller:fusepath-ok plus a

@@ -199,6 +199,12 @@ func (a *Array) Lookup(l mem.Line) *Entry {
 	return nil
 }
 
+// Touch refreshes e's LRU stamp exactly as a Lookup hit on it would.
+func (a *Array) Touch(e *Entry) {
+	a.clock++
+	e.lru = a.clock
+}
+
 // Peek is Lookup without the LRU refresh (for external probes that must not
 // perturb replacement decisions).
 func (a *Array) Peek(l mem.Line) *Entry {
@@ -259,25 +265,11 @@ func (a *Array) ForEach(fn func(*Entry)) {
 	}
 }
 
-// CountTx returns the number of lines in the transaction's read/write sets;
-// used by stats and by progression-based priority (LosaTM).
-func (a *Array) CountTx() (reads, writes int) {
-	for i := range a.entries {
-		if a.entries[i].TxRead {
-			reads++
-		}
-		if a.entries[i].TxWrite {
-			writes++
-		}
-	}
-	return
-}
-
 // ClearTx clears all transactional metadata; invalidateWrites additionally
 // drops speculatively written (TxWrite) lines, which is what an abort does
-// under L1-based eager version management. Returns the dropped lines so the
-// controller can lazily reconcile the directory via NACKs later.
-func (a *Array) ClearTx(invalidateWrites bool) (dropped []mem.Line) {
+// under L1-based eager version management. The directory learns of the
+// dropped lines lazily, via NACKs.
+func (a *Array) ClearTx(invalidateWrites bool) {
 	for i := range a.entries {
 		e := &a.entries[i]
 		// Untouched entries (the vast majority each commit) fall through
@@ -289,12 +281,10 @@ func (a *Array) ClearTx(invalidateWrites bool) (dropped []mem.Line) {
 			continue
 		}
 		if invalidateWrites && e.TxWrite {
-			dropped = append(dropped, e.Line)
 			e.State = Invalid
 			e.Dirty = false
 		}
 		e.TxRead = false
 		e.TxWrite = false
 	}
-	return dropped
 }

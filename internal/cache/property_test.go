@@ -48,9 +48,21 @@ func TestRandomOpsInvariants(t *testing.T) {
 						e.TxWrite = true
 					}
 				}
-			case 4: // clear tx
-				dropped := a.ClearTx(rng.Bool(0.5))
-				for _, dl := range dropped {
+			case 4: // clear tx; an abort drops exactly the valid write-set lines
+				abort := rng.Bool(0.5)
+				var writeSet []mem.Line
+				if abort {
+					a.ForEach(func(e *Entry) {
+						if e.TxWrite && e.State.Valid() {
+							writeSet = append(writeSet, e.Line)
+						}
+					})
+				}
+				a.ClearTx(abort)
+				for _, dl := range writeSet {
+					if a.Peek(dl) != nil {
+						t.Fatalf("write-set line %d survived the abort", dl)
+					}
 					delete(live, dl)
 				}
 			}

@@ -59,6 +59,10 @@ type L1 struct {
 	client Client
 	epoch  uint64 // bumped on every abort; stale callbacks are dropped
 
+	// spinEntry caches the fallback-lock line's entry while the core spins
+	// on it (SpinHit); nil when no guaranteed hit is cached.
+	spinEntry *cache.Entry
+
 	// mshrs is an open-addressed line→MSHR table (see mshrtable.go): flat,
 	// allocation-free in steady state, with O(1) live/parked counts.
 	mshrs mshrTable
@@ -312,20 +316,58 @@ func (l1 *L1) finishHit(done func()) {
 // eager transactional writeback) are sent identically. The caller remains
 // responsible for proving via Engine.PeekNext that no pending event fires
 // at or before the inline completion time.
-func (l1 *L1) TryFastHit(line mem.Line, write bool) bool {
+func (l1 *L1) TryFastHit(line mem.Line, write bool) bool { return l1.fastHit(line, write) != nil }
+
+// fastHit is TryFastHit returning the hit entry (nil when it declined).
+func (l1 *L1) fastHit(line mem.Line, write bool) *cache.Entry {
 	if l1.mshrs.lookup(line) != nil {
-		return false // outstanding request: the access must queue behind it
+		return nil // outstanding request: the access must queue behind it
 	}
 	e := l1.arr.Lookup(line)
 	if e == nil || !e.State.Valid() {
-		return false // miss or transient: full machinery required
+		return nil // miss or transient: full machinery required
 	}
 	if write && e.State != cache.Exclusive && e.State != cache.Modified {
-		return false // store to Shared: upgrade request required
+		return nil // store to Shared: upgrade request required
 	}
 	l1.Hits++
 	l1.hitUpdate(e, write)
-	return true
+	return e
+}
+
+// SpinHit is the lock spin's re-read of the fallback lock line (Listing 1's
+// retry strategy). When the read is a guaranteed hit it applies the hit's
+// effects and returns true; the caller completes it L1Hit cycles later, in
+// the slot finishHit's evL1Done would take. Otherwise it returns false with
+// no state touched, and the caller takes the ordinary Access path.
+//
+// The first hit runs the full TryFastHit check and caches the entry; later
+// re-reads cost Hits++ and the LRU refresh a Lookup hit makes. The cache is
+// exact because a spinning core is outside any transaction and issues no
+// other access, so nothing but a message for the lock line can change the
+// entry's validity or create an MSHR for it. Receive drops the cache on any
+// such message, the three-level flush a forward defers drops it again when
+// it runs, and EndSpin drops it when the spin ends. A drop is never wrong:
+// the next re-read just runs the full check again.
+func (l1 *L1) SpinHit() bool {
+	if e := l1.spinEntry; e != nil {
+		l1.Hits++
+		l1.arr.Touch(e)
+		return true
+	}
+	l1.spinEntry = l1.fastHit(l1.sys.LockLine, false)
+	return l1.spinEntry != nil
+}
+
+// EndSpin drops the cached lock-line entry: the core runs other accesses
+// from here on, and they may evict or replace it.
+func (l1 *L1) EndSpin() { l1.spinEntry = nil }
+
+// forgetSpin drops the cached lock-line entry when line is the lock line.
+func (l1 *L1) forgetSpin(line mem.Line) {
+	if line == l1.sys.LockLine {
+		l1.spinEntry = nil
+	}
 }
 
 // FinishFastHit completes a TryFastHit through the typed event path —
@@ -498,6 +540,7 @@ func (l1 *L1) sendReq(m *mshr) {
 // message (free-msg) or moves its ownership to a store (queue-external; the
 // drain loop re-enters Receive and the normal rules apply).
 func (l1 *L1) Receive(m *Msg) {
+	l1.forgetSpin(m.Line)
 	s := l1Ready
 	if l1.applying {
 		s = l1Applying
@@ -838,6 +881,7 @@ func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
 		mv := *m // value copy: the pooled message is recycled before the flush runs
 		//lockiller:alloc-ok three-level baseline only; the deferred forward reply needs the entry, line, requester, and flavor
 		l1.sys.Engine.After(l1.sys.MidHit, func() {
+			l1.forgetSpin(line) // a spin may have re-cached the entry this flush moves
 			if !e.State.Valid() {
 				// The line moved while the flush was in flight (abort).
 				l1.nack(line, req)

@@ -54,6 +54,10 @@ type Core struct {
 	// the new contents.
 	body []Op
 
+	// tickID is this core's engine tick id (thread index << 1); the low
+	// bit selects the spin tick kind (Machine.OnTick).
+	tickID uint32
+
 	// fusedRuns counts event-fusion fast-path runs (maximal inline op
 	// chains); collected into stats.Run.FusedRuns after the run.
 	fusedRuns uint64
@@ -64,7 +68,14 @@ type Core struct {
 const (
 	evResume  uint8 = iota // continue runOps from c.resume
 	evRestart              // restart the current section's attempt
-	evSpin                 // re-read the held fallback lock (no token)
+)
+
+// Engine tick kinds of the lock spin, the low bit of a core's tick id.
+// Like every spin step they carry no token: a spinning core is outside
+// any transaction, so no abort can overtake them.
+const (
+	tickSpinRead  uint32 = iota // re-read the held fallback lock
+	tickSpinCheck               // the re-read hit completed: test the lock
 )
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
@@ -72,13 +83,6 @@ func (c *Core) ProbeClass() string { return "core" }
 
 // OnEvent implements sim.Handler for the core's allocation-free delays.
 func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
-	if kind == evSpin {
-		// A spinning core is outside any transaction, so no abort can
-		// overtake the re-read; like the closure it replaced, it carries
-		// no token.
-		c.spinWhileHeld()
-		return
-	}
 	if a != c.token {
 		return
 	}
@@ -93,8 +97,8 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 
 type memLine = mem.Line
 
-func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Core {
-	c := &Core{m: m, id: id, prog: prog, st: st, rng: rng}
+func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG, tickID uint32) *Core {
+	c := &Core{m: m, id: id, prog: prog, st: st, rng: rng, tickID: tickID}
 	c.contFn = c.accessDone
 	c.spinCheckFn = c.spinCheck
 	c.subscribedFn = c.subscribed
@@ -559,18 +563,31 @@ func (c *Core) release(lk *SpinLock, done func()) {
 	})
 }
 
-// spinWhileHeld re-reads the lock line; spinCheck re-arms the re-read
-// every SpinInterval cycles until the lock is observed free, then starts
-// the attempt. Both continuations are prebound and the re-arm is a typed
-// event, so a spinning core allocates nothing per iteration.
+// spinWhileHeld re-reads the held lock line; spinCheck tests the lock
+// when the read completes and re-arms the re-read every SpinInterval
+// cycles until the lock is observed free, then starts the attempt.
+//
+// Both steps are engine ticks, not events. A re-read that is a guaranteed
+// hit (L1.SpinHit) completes through a check tick L1Hit cycles later: the
+// tick takes the (when, seq) slot finishHit's evL1Done would have taken,
+// and the L1 epoch cannot move while the core spins, so it needs no epoch
+// test. Any other re-read takes the ordinary Access path into the
+// prebound spinCheckFn. Either way a spinning core allocates nothing per
+// iteration and runs exactly the schedule of a fully evented spin.
 func (c *Core) spinWhileHeld() {
-	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinCheckFn)
+	l1 := c.m.Sys.L1s[c.id]
+	if l1.SpinHit() {
+		c.engine().AfterTick(c.m.Sys.L1Hit, c.tickID|tickSpinCheck)
+		return
+	}
+	l1.Access(c.m.Lock.Line, false, c.spinCheckFn)
 }
 
 func (c *Core) spinCheck() {
 	if c.m.Lock.Held() {
-		c.engine().AfterEvent(c.m.Cfg.SpinInterval, c, evSpin, 0, nil)
+		c.engine().AfterTick(c.m.Cfg.SpinInterval, c.tickID|tickSpinRead)
 		return
 	}
+	c.m.Sys.L1s[c.id].EndSpin()
 	c.startAttempt()
 }

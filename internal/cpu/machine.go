@@ -136,6 +136,10 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 	if cfg.Threads > cfg.Machine.Cores {
 		panic(fmt.Sprintf("cpu: %d threads exceed %d cores", cfg.Threads, cfg.Machine.Cores))
 	}
+	if cfg.SpinInterval >= sim.TickHorizon || cfg.Machine.L1Hit >= sim.TickHorizon {
+		panic(fmt.Sprintf("cpu: SpinInterval %d and L1Hit %d must be below the engine tick horizon %d",
+			cfg.SpinInterval, cfg.Machine.L1Hit, sim.TickHorizon))
+	}
 	engine := sim.NewEngine()
 	sys := coherence.NewSystem(engine, cfg.Machine, cfg.HTM)
 	if cfg.Probe != nil {
@@ -158,9 +162,10 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 	rng := sim.NewRNG(cfg.Seed)
 	coreOf := mapThreads(cfg.Placement, cfg.Threads, cfg.Machine.Cores)
 	for i := 0; i < cfg.Threads; i++ {
-		c := newCore(m, coreOf[i], programs[i], m.Stats.Cores[i], rng.Split(uint64(i)))
+		c := newCore(m, coreOf[i], programs[i], m.Stats.Cores[i], rng.Split(uint64(i)), uint32(i)<<1)
 		m.Cores = append(m.Cores, c)
 	}
+	engine.SetTick(m)
 	if tel := cfg.Telemetry; tel != nil {
 		m.attachTelemetry(tel)
 	}
@@ -204,6 +209,21 @@ func (m *Machine) attachTelemetry(tel *telemetry.Telemetry) {
 		return float64(n)
 	})
 	tel.Start(m.Engine, p.Cores)
+}
+
+// ProbeClass implements sim.ProbeClasser: the machine receives only the
+// cores' lock-spin ticks, so they are classed with the core's events.
+func (m *Machine) ProbeClass() string { return "core" }
+
+// OnTick implements sim.TickReceiver: it runs one step of a core's lock
+// spin (tick id = thread index << 1 | tick kind).
+func (m *Machine) OnTick(id uint32) {
+	c := m.Cores[id>>1]
+	if id&1 == tickSpinCheck {
+		c.spinCheck()
+		return
+	}
+	c.spinWhileHeld()
 }
 
 // Run executes the machine to completion and returns the collected stats.

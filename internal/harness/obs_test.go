@@ -8,22 +8,40 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// tickCounter forwards to a Profiler and counts the engine ticks it saw.
+type tickCounter struct {
+	*obs.Profiler
+	ticks uint64
+}
+
+func (c *tickCounter) EventEnd(class string, kind uint8) {
+	if class == "core" && kind == sim.TickKind {
+		c.ticks++
+	}
+	c.Profiler.EventEnd(class, kind)
+}
 
 // TestObsProbePreservesGoldenCycles runs golden-matrix cells with the
 // self-profiler probe attached and asserts the simulated timing is
 // bit-for-bit what the plain run produces. The probe reads the host clock
-// on every dispatch; none of that may reach model state.
+// on every dispatch; none of that may reach model state. Baseline intruder
+// spins on the fallback lock, so its lock-spin ticks must be bracketed and
+// counted like events, under the core's class.
 func TestObsProbePreservesGoldenCycles(t *testing.T) {
+	spinning := goldenKey{"Baseline", "intruder", 4}
 	for _, cell := range []goldenKey{
 		{"LockillerTM", "intruder", 2},
 		{"Baseline", "kmeans", 4},
+		spinning,
 	} {
 		cell := cell
 		t.Run(fmt.Sprintf("%s/%s", cell.System, cell.Workload), func(t *testing.T) {
 			t.Parallel()
-			p := obs.NewProfiler()
+			p := &tickCounter{Profiler: obs.NewProfiler()}
 			run, err := ExecuteWith(Spec{
 				System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
 				Threads: cell.Threads, Cache: TypicalCache(), Seed: 1,
@@ -41,6 +59,9 @@ func TestObsProbePreservesGoldenCycles(t *testing.T) {
 			}
 			if p.Events() != run.EventsExecuted {
 				t.Errorf("profiler saw %d events, engine executed %d", p.Events(), run.EventsExecuted)
+			}
+			if spins := cell == spinning; spins != (p.ticks > 0) {
+				t.Errorf("profiler saw %d core ticks; want ticks from the spinning cell only", p.ticks)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // handler is a minimal typed-event sink for benchmarking.
 type handler struct {
@@ -40,6 +43,44 @@ func BenchmarkTypedEventRing(b *testing.B) { benchTypedChain(b, 2) }
 // BenchmarkTypedEventHeap measures the 4-ary heap path: delays beyond the
 // ring horizon (memory latencies, retry backoffs).
 func BenchmarkTypedEventHeap(b *testing.B) { benchTypedChain(b, 100) }
+
+// ticker is handler's tick twin: a self-re-arming tick chain.
+type ticker struct {
+	e *Engine
+	n uint64
+	N uint64
+	d uint64
+}
+
+func (t *ticker) OnTick(id uint32) {
+	t.n++
+	if t.n < t.N {
+		t.e.AfterTick(t.d, id)
+	}
+}
+
+// BenchmarkEngineTicks compares a self-re-arming tick chain against the
+// same chain of typed events, at a short delay and at the last cycle of
+// the ring horizon (the longest delay a tick can take).
+func BenchmarkEngineTicks(b *testing.B) {
+	for _, d := range []uint64{2, TickHorizon - 1} {
+		b.Run(fmt.Sprintf("tick/d=%d", d), func(b *testing.B) {
+			e := NewEngine()
+			e.Watchdog = 0
+			tk := &ticker{e: e, N: uint64(b.N), d: d}
+			e.SetTick(tk)
+			e.AfterTick(d, 0)
+			b.ResetTimer()
+			if err := e.Run(0); err != nil {
+				b.Fatal(err)
+			}
+			if tk.n != uint64(b.N) {
+				b.Fatalf("ran %d ticks, want %d", tk.n, b.N)
+			}
+		})
+		b.Run(fmt.Sprintf("event/d=%d", d), func(b *testing.B) { benchTypedChain(b, d) })
+	}
+}
 
 // BenchmarkClosureEventRing measures the closure API on the same small-delay
 // pattern, for comparison against the typed path.

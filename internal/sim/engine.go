@@ -30,6 +30,17 @@
 // AfterEvent) lets hot paths schedule a Handler callback with two payload
 // words instead of allocating a fresh closure per event; the closure API
 // (At / After) remains for cold paths and tests.
+//
+// A tick (AfterTick) is the cheapest schedulable item: a payload-free
+// uint32 delivered to the engine's one TickReceiver (SetTick), ring-only
+// (d < ringSize). Each bucket keeps its ticks in a side list beside its
+// events. A tick records len(bucket.ev) when it is scheduled and runs
+// after ev[at-1] and before ev[at] — exactly the (when, seq) slot a full
+// event scheduled at that moment would take — so switching a callback
+// between an event and a tick never changes execution order. Heap events
+// of the tick's cycle still run first, for the same reason they beat ring
+// events. Ticks count as executed events, are visible to PeekNext, and
+// run inside the probe bracket like any other dispatch.
 package sim
 
 import (
@@ -49,6 +60,12 @@ var ErrLimitReached = errors.New("sim: cycle limit reached with events still pen
 // words chosen so that neither boxes (uint64 goes in a, pointers go in p).
 type Handler interface {
 	OnEvent(kind uint8, a uint64, p any)
+}
+
+// TickReceiver receives the ticks scheduled with AfterTick. The id is the
+// scheduler's own encoding; the engine only carries it.
+type TickReceiver interface {
+	OnTick(id uint32)
 }
 
 // event is one scheduled callback: either a closure (fn != nil) or a typed
@@ -72,11 +89,45 @@ const (
 	ringMask = ringSize - 1
 )
 
-// bucket holds the events of one cycle in FIFO (= seq) order. head avoids
-// shifting on pop; the slice is reset (capacity retained) when drained.
+// TickHorizon bounds AfterTick delays: ticks live only in the bucket ring.
+const TickHorizon = ringSize
+
+// TickKind is the event kind ticks report to the probe, so a self-profile
+// lists them apart from their receiver class's typed events.
+const TickKind uint8 = 0xFF
+
+// bucket holds the events of one cycle in FIFO (= seq) order, plus the
+// ticks of that cycle. head and thead avoid shifting on pop; both slices
+// are reset (capacity retained) once both are drained, so a tick's at
+// index stays valid while any tick of the cycle is pending.
 type bucket struct {
-	ev   []event
-	head int
+	ev    []event
+	head  int
+	ticks []tick
+	thead int
+}
+
+// tick is one pending AfterTick: it runs once the bucket's events before
+// index at have run, and before ev[at].
+type tick struct {
+	at uint32
+	id uint32
+}
+
+// empty reports whether the bucket has nothing left to run.
+func (b *bucket) empty() bool { return b.head == len(b.ev) && b.thead == len(b.ticks) }
+
+// tickNext reports whether the bucket's next item is a tick.
+func (b *bucket) tickNext() bool {
+	return b.thead < len(b.ticks) && int(b.ticks[b.thead].at) <= b.head
+}
+
+// resetIfEmpty rewinds a drained bucket, keeping both slices' capacity.
+func (b *bucket) resetIfEmpty() {
+	if b.empty() {
+		b.ev, b.head = b.ev[:0], 0
+		b.ticks, b.thead = b.ticks[:0], 0
+	}
 }
 
 // equeue is the two-tier calendar queue: the near-future bucket ring plus
@@ -101,6 +152,10 @@ type Engine struct {
 	executed uint64
 
 	q equeue
+
+	// tickRecv receives every tick; tickClass is its probe class.
+	tickRecv  TickReceiver
+	tickClass string
 
 	// probe, when non-nil, observes event dispatch on the host clock
 	// (internal/obs). Every callsite is nil-guarded (enforced by the
@@ -128,7 +183,7 @@ func (e *Engine) Now() uint64 { return e.now }
 // performance reporting and for tests asserting that work happened.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events currently queued.
+// Pending returns the number of events and ticks currently queued.
 func (e *Engine) Pending() int { return e.q.pending() }
 
 // schedule places ev at absolute cycle t. Scheduling in the past panics: it
@@ -158,6 +213,28 @@ func (e *Engine) AtEvent(t uint64, h Handler, kind uint8, a uint64, p any) {
 // AfterEvent schedules h.OnEvent(kind, a, p) d cycles from now.
 func (e *Engine) AfterEvent(d uint64, h Handler, kind uint8, a uint64, p any) {
 	e.schedule(e.now+d, event{h: h, kind: kind, a: a, p: p})
+}
+
+// SetTick installs the receiver of every AfterTick. It must be set before
+// the first tick is scheduled. The receiver's ProbeClass, if it has one,
+// classes its ticks in self-profiler reports ("tick" otherwise).
+func (e *Engine) SetTick(r TickReceiver) {
+	e.tickRecv = r
+	e.tickClass = "tick"
+	if pc, ok := r.(ProbeClasser); ok {
+		e.tickClass = pc.ProbeClass()
+	}
+}
+
+// AfterTick schedules the receiver's OnTick(id) d cycles from now. Ticks
+// live only in the bucket ring, so d must be below its horizon; a tick
+// takes the same (when, seq) slot an AfterEvent call at this point would
+// (see the package comment).
+func (e *Engine) AfterTick(d uint64, id uint32) {
+	if d >= TickHorizon {
+		panic(fmt.Sprintf("sim: AfterTick(%d) at or beyond the tick horizon %d", d, TickHorizon))
+	}
+	e.q.pushTick(e.now+d, id)
 }
 
 // Progress informs the watchdog that the simulated machine made forward
@@ -231,16 +308,58 @@ func (e *Engine) execObserved(ev *event) {
 	e.exec(ev)
 }
 
-// Step executes the next pending event, advancing time. It reports whether
-// an event was executed.
+// execTick runs one tick, with the probe bracket when a probe is set.
+func (e *Engine) execTick(id uint32) {
+	if pr := e.probe; pr != nil {
+		pr.EventBegin()
+		e.tickRecv.OnTick(id)
+		pr.EventEnd(e.tickClass, TickKind)
+		return
+	}
+	e.tickRecv.OnTick(id)
+}
+
+// dispatch removes and runs the earliest pending item, which peek reported
+// at cycle t, in (when, seq) order.
+//
+// Every item in a reachable ring bucket provably has when equal to the
+// bucket's scan cycle (see the package comment), so bucket FIFO order, with
+// each tick slotted in before ev[at], is (when, seq) order. The heap wins
+// ties at equal when because all of its same-cycle events were scheduled —
+// and therefore sequenced — before any ring event or tick of that cycle.
+func (e *Engine) dispatch(t uint64) {
+	e.now = t
+	e.executed++
+	q := &e.q
+	if len(q.heap) > 0 && q.heap[0].when == t {
+		ev := q.heapPop()
+		e.execObserved(&ev)
+		return
+	}
+	b := &q.ring[t&ringMask]
+	q.ringCount--
+	if b.tickNext() {
+		id := b.ticks[b.thead].id
+		b.thead++
+		b.resetIfEmpty()
+		e.execTick(id)
+		return
+	}
+	ev := b.ev[b.head]
+	b.ev[b.head] = event{} // drop references so the GC can reclaim payloads
+	b.head++
+	b.resetIfEmpty()
+	e.execObserved(&ev)
+}
+
+// Step executes the next pending event or tick, advancing time. It reports
+// whether anything was executed.
 func (e *Engine) Step() bool {
-	ev, ok := e.q.pop(e.now)
+	t, ok := e.q.peek(e.now)
 	if !ok {
 		return false
 	}
-	e.now = ev.when
-	e.executed++
-	e.execObserved(&ev)
+	e.dispatch(t)
 	return true
 }
 
@@ -260,10 +379,7 @@ func (e *Engine) Run(limit uint64) error {
 		if e.Watchdog != 0 && e.now-e.lastProgress > e.Watchdog {
 			return e.watchdogErr()
 		}
-		ev, _ := e.q.pop(e.now)
-		e.now = ev.when
-		e.executed++
-		e.execObserved(&ev)
+		e.dispatch(t)
 	}
 }
 
@@ -279,7 +395,7 @@ func (e *Engine) watchdogErr() error {
 
 // --- equeue operations ----------------------------------------------------
 
-// pending returns the number of queued events.
+// pending returns the number of queued events and ticks.
 func (q *equeue) pending() int { return q.ringCount + len(q.heap) }
 
 // push inserts ev (when and seq already assigned) routing by horizon: ring
@@ -295,6 +411,17 @@ func (q *equeue) push(now uint64, ev event) {
 		return
 	}
 	q.heapPush(ev)
+}
+
+// pushTick appends a tick to cycle t's bucket (t fewer than ringSize cycles
+// out), after the events the bucket already holds.
+func (q *equeue) pushTick(t uint64, id uint32) {
+	b := &q.ring[t&ringMask]
+	b.ticks = append(b.ticks, tick{at: uint32(len(b.ev)), id: id})
+	if q.ringCount == 0 || t < q.ringMin {
+		q.ringMin = t
+	}
+	q.ringCount++
 }
 
 // peekRing returns the cycle of the earliest ring event. It starts from the
@@ -313,7 +440,7 @@ func (q *equeue) peekRing(now uint64) (uint64, bool) {
 		t = now
 	}
 	for end := now + ringSize; t < end; t++ {
-		if b := &q.ring[t&ringMask]; b.head < len(b.ev) {
+		if b := &q.ring[t&ringMask]; !b.empty() {
 			q.ringMin = t
 			return t, true
 		}
@@ -329,33 +456,6 @@ func (q *equeue) peek(now uint64) (when uint64, ok bool) {
 		return q.heap[0].when, true
 	}
 	return rt, rok
-}
-
-// pop removes and returns the queue's earliest event in (when, seq) order.
-//
-// Every event in a reachable ring bucket provably has when equal to the
-// bucket's scan cycle (see the package comment), so bucket FIFO order is
-// (when, seq) order. The heap wins ties at equal when because all of its
-// same-cycle events were scheduled — and therefore sequenced — before any
-// ring event of that cycle.
-func (q *equeue) pop(now uint64) (event, bool) {
-	rt, rok := q.peekRing(now)
-	if len(q.heap) > 0 && (!rok || q.heap[0].when <= rt) {
-		return q.heapPop(), true
-	}
-	if !rok {
-		return event{}, false
-	}
-	b := &q.ring[rt&ringMask]
-	ev := b.ev[b.head]
-	b.ev[b.head] = event{} // drop references so the GC can reclaim payloads
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-	}
-	q.ringCount--
-	return ev, true
 }
 
 // --- 4-ary min-heap over a flat []event slice ---------------------------

@@ -11,7 +11,7 @@ trap 'rm -f "$TMP"' EXIT INT TERM
 
 echo "running engine micro-benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkTypedEventRing|BenchmarkTypedEventHeap|BenchmarkClosureEventRing|BenchmarkMixedHorizon)$' \
+    -bench '^(BenchmarkTypedEventRing|BenchmarkTypedEventHeap|BenchmarkClosureEventRing|BenchmarkMixedHorizon|BenchmarkEngineTicks)$' \
     ./internal/sim >"$TMP"
 
 echo "running protocol-table dispatch benchmark..." >&2
