@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench bench-compare telemetry-smoke obs-smoke figures eval clean
+.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench bench-compare telemetry-smoke obs-smoke sim-smoke figures eval clean
 
 all: vet lint build test
 
@@ -85,6 +85,12 @@ telemetry-smoke:
 # Offline; runs in the nightly CI.
 obs-smoke:
 	sh scripts/obs_smoke.sh
+
+# lockillersim's non-default run paths: an -export/-import round trip must
+# print what the plain run prints, and a repeated -threelevel run under
+# -results must be served from the disk cache. Offline; runs in CI.
+sim-smoke:
+	sh scripts/sim_smoke.sh
 
 # Regenerate the paper's figures (quick scope).
 figures:

@@ -268,16 +268,12 @@ func BenchmarkAblationNoC(b *testing.B) {
 // replaced (private middle cache, flush-on-forward; §IV-A).
 func BenchmarkAblationProtocolLevels(b *testing.B) {
 	run := func(b *testing.B, mid bool) {
-		wl := stamp.Vacation()
 		for i := 0; i < b.N; i++ {
 			sys, _ := harness.SystemByName("Baseline")
-			p := coherence.DefaultParams()
-			if mid {
-				p.MidSize, p.MidWays = 64*1024, 8
-			}
-			cfg := cpu.Config{Machine: p, HTM: sys.HTM, Sync: sys.Sync, Threads: 8, Seed: 1, Limit: 4_000_000_000}
-			m := cpu.NewMachine(cfg, sys.Name, wl.Name, stamp.Programs(wl, 8, 1))
-			res, err := m.Run()
+			res, err := harness.ExecuteWith(harness.Spec{
+				System: sys, Workload: stamp.Vacation(), Threads: 8,
+				Cache: harness.TypicalCache(), Seed: 1, ThreeLevel: mid,
+			}, harness.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func main() {
 	cores := flag.Int("cores", 0, "scale the machine to N cores on a near-square grid (0 = Table I's 32)")
 	topo := flag.String("topo", "", "interconnect topology: mesh, torus, or cmesh (default: Table I's mesh)")
 	cluster := flag.Int("cluster", 0, "two-level directory cluster size (0 = flat directory)")
-	resultsDir := flag.String("results", "", "content-addressed result cache directory shared with lockillerbench (checked before running, stored after; ignored for instrumented or custom runs)")
+	resultsDir := flag.String("results", "", "content-addressed result cache directory shared with lockillerbench (checked before running, stored after; ignored for instrumented or -import runs)")
 	obsFlag := flag.Bool("obs", false, "profile the simulation engine (host-side) and print the self-profile report")
 	ledgerPath := flag.String("ledger", "", "write this run's ledger record to the file as JSONL")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
@@ -112,7 +112,8 @@ func main() {
 		fatal(fmt.Errorf("unknown -topo value %q (want mesh, torus, or cmesh)", *topo))
 	}
 	spec := harness.Spec{System: sys, Workload: wl, Threads: *threads, Cache: cache, Seed: *seed,
-		DisableFusion: disableFusion, Cores: *cores, Topo: *topo, ClusterSize: *cluster}
+		DisableFusion: disableFusion, Cores: *cores, Topo: *topo, ClusterSize: *cluster,
+		ThreeLevel: *threeLevel}
 	if *exportPath != "" {
 		f, err := os.Create(*exportPath)
 		if err != nil {
@@ -140,12 +141,22 @@ func main() {
 	if *obsFlag {
 		prof = obs.NewProfiler()
 	}
-	// The disk cache only serves the plain execution path: instrumented or
-	// custom runs produce side outputs (traces, telemetry, profiles) a
-	// cached stats.Run cannot reproduce, and import/threelevel runs are not
-	// captured by the spec key at all.
+	opts := harness.ExecOptions{Tracer: tracer, Telemetry: tel}
+	if prof != nil { // never wrap a nil *Profiler in the interface
+		opts.Probe = prof
+	}
+	if *importPath != "" {
+		if opts.Programs, err = importPrograms(*importPath); err != nil {
+			fatal(err)
+		}
+		spec.Threads = len(opts.Programs)
+	}
+	// The disk cache only serves the plain execution path: instrumented
+	// runs produce side outputs (traces, telemetry, profiles) a cached
+	// stats.Run cannot reproduce, and imported programs are not captured
+	// by the spec key.
 	var disk *harness.DiskCache
-	cacheable := *importPath == "" && !*threeLevel && tracer == nil && tel == nil && prof == nil
+	cacheable := *importPath == "" && tracer == nil && tel == nil && prof == nil
 	if *resultsDir != "" && cacheable {
 		if disk, err = harness.OpenDiskCache(*resultsDir); err != nil {
 			fatal(err)
@@ -155,25 +166,16 @@ func main() {
 	cacheSrc := ""
 	timer := obs.StartTimer()
 	mem := obs.TakeMemSnapshot()
-	switch {
-	case *importPath != "" || *threeLevel:
-		run, err = runCustom(spec, tracer, tel, prof, *importPath, *threeLevel)
-	default:
-		if disk != nil {
-			if cached, ok := disk.Load(spec.Key(), *seed); ok {
-				run, cacheSrc = cached, "disk"
-			}
+	if disk != nil {
+		if cached, ok := disk.Load(spec.Key(), *seed); ok {
+			run, cacheSrc = cached, "disk"
 		}
-		if run == nil {
-			opts := harness.ExecOptions{Tracer: tracer, Telemetry: tel}
-			if prof != nil { // never wrap a nil *Profiler in the interface
-				opts.Probe = prof
-			}
-			run, err = harness.ExecuteWith(spec, opts)
-			if err == nil && disk != nil {
-				if serr := disk.Store(spec.Key(), *seed, run); serr != nil {
-					fmt.Fprintln(os.Stderr, "lockillersim:", serr)
-				}
+	}
+	if run == nil {
+		run, err = harness.ExecuteWith(spec, opts)
+		if err == nil && disk != nil {
+			if serr := disk.Store(spec.Key(), *seed, run); serr != nil {
+				fmt.Fprintln(os.Stderr, "lockillersim:", serr)
 			}
 		}
 	}
@@ -198,7 +200,7 @@ func main() {
 		fmt.Printf("cached    : %s (%s)\n", cacheSrc, *resultsDir)
 	}
 	fmt.Printf("system    : %s\nworkload  : %s\nthreads   : %d\ncache     : %s\n",
-		sys.Name, wl.Name, *threads, cache.Name)
+		sys.Name, wl.Name, spec.Threads, cache.Name)
 	if *cores > 0 || *topo != "" || *cluster > 0 {
 		p := spec.MachineParams()
 		kind := p.Topo
@@ -280,42 +282,14 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// runCustom executes a spec with non-standard machine options (replayed
-// programs and/or the three-level protocol organization).
-func runCustom(spec harness.Spec, tracer *trace.Tracer, tel *telemetry.Telemetry, prof *obs.Profiler, importPath string, threeLevel bool) (*stats.Run, error) {
-	p := spec.MachineParams()
-	if threeLevel {
-		p.MidSize, p.MidWays = 64*1024, 8
+// importPrograms reads thread programs written by -export.
+func importPrograms(path string) ([]cpu.Program, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	progs := stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
-	if importPath != "" {
-		f, err := os.Open(importPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		progs, err = cpu.ImportPrograms(f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cfg := cpu.Config{
-		Machine: p, HTM: spec.System.HTM, Sync: spec.System.Sync,
-		Threads: len(progs), Seed: spec.Seed, Limit: 4_000_000_000, Tracer: tracer,
-		Telemetry: tel, DisableFusion: spec.DisableFusion,
-	}
-	if prof != nil { // never wrap a nil *Profiler in the interface
-		cfg.Probe = prof
-	}
-	if tel != nil {
-		tel.Meta = telemetry.Meta{
-			System:   spec.System.Name,
-			Threads:  len(progs),
-			Workload: spec.Workload.Name,
-		}
-	}
-	m := cpu.NewMachine(cfg, spec.System.Name, spec.Workload.Name, progs)
-	return m.Run()
+	defer f.Close()
+	return cpu.ImportPrograms(f)
 }
 
 func fatal(err error) {

@@ -6,7 +6,8 @@
 // 32-core tiled CMP (sim, mem, topology, noc, cache, coherence), the
 // best-effort HTM and the paper's three mechanisms (htm, priority,
 // coherence), an in-order core model (cpu), STAMP-like workloads (stamp),
-// the evaluation harness (harness, stats), and the public facade (core).
+// and the evaluation harness (harness, stats), whose Spec and ExecuteWith
+// are the one way to describe, build and run a machine.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in

@@ -13,10 +13,10 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/htm"
+	"repro/internal/harness"
 	"repro/internal/mem"
+	"repro/internal/stamp"
 )
 
 func main() {
@@ -45,15 +45,15 @@ func main() {
 		programs[th] = prog
 	}
 
-	fmt.Println("system        commit-rate  aborts  fallback-runs  cycles")
-	for _, cfg := range []core.Config{
-		core.Baseline(),
-		core.Recovery(htm.SelfAbort),
-		core.Recovery(htm.RetryLater),
-		core.Recovery(htm.WaitWakeup),
-	} {
-		cfg.Seed = 42
-		res, err := core.Run(cfg, programs)
+	fmt.Println("system           commit-rate  aborts  fallback-runs  cycles")
+	for _, name := range []string{"Baseline", "LockillerTM-RAI", "LockillerTM-RRI", "LockillerTM-RWI"} {
+		sys, err := harness.SystemByName(name)
+		if err != nil {
+			panic(err)
+		}
+		res, err := harness.ExecuteWith(harness.Spec{System: sys, Workload: stamp.Profile{Name: "custom"},
+			Threads: threads, Cache: harness.TypicalCache(), Seed: 42},
+			harness.ExecOptions{Programs: programs})
 		if err != nil {
 			panic(err)
 		}
@@ -62,7 +62,7 @@ func main() {
 		for _, c := range res.Cores {
 			lockRuns += c.LockRuns
 		}
-		fmt.Printf("%-12s  %.3f        %-6d  %-13d  %d\n",
-			cfg.Name, res.CommitRate(), total, lockRuns, res.ExecCycles)
+		fmt.Printf("%-15s  %.3f        %-6d  %-13d  %d\n",
+			name, res.CommitRate(), total, lockRuns, res.ExecCycles)
 	}
 }

@@ -8,15 +8,22 @@
 // with the disjoint HTM transactions, and switchingMode saves the
 // overflowing transaction's work in place.
 //
+// On this mix HTMLock alone (LockillerTM-RWIL) does not pay off: the giant
+// transaction still spends its retry budget on capacity aborts before it
+// falls back. The full LockillerTM system switches it to STL mode on its
+// first overflow instead: no work is aborted, and the giant transactions'
+// time shows up as switchLock (STL mode).
+//
 //	go run ./examples/htmlock
 package main
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/mem"
+	"repro/internal/stamp"
 	"repro/internal/stats"
 )
 
@@ -52,16 +59,21 @@ func main() {
 		programs[th] = prog
 	}
 
-	fmt.Println("system        cycles     commit  waitlock%  lock%  switchLock%  aborted%")
-	for _, cfg := range []core.Config{core.Baseline(), core.HTMLock(), core.LockillerTM()} {
-		cfg.Seed = 7
-		res, err := core.Run(cfg, programs)
+	fmt.Println("system            cycles     commit  waitlock%  lock%  switchLock%  aborted%")
+	for _, name := range []string{"Baseline", "LockillerTM-RWIL", "LockillerTM"} {
+		sys, err := harness.SystemByName(name)
+		if err != nil {
+			panic(err)
+		}
+		res, err := harness.ExecuteWith(harness.Spec{System: sys, Workload: stamp.Profile{Name: "custom"},
+			Threads: threads, Cache: harness.TypicalCache(), Seed: 7},
+			harness.ExecOptions{Programs: programs})
 		if err != nil {
 			panic(err)
 		}
 		bd := res.Breakdown()
-		fmt.Printf("%-12s  %-9d  %.3f   %5.1f     %5.1f   %5.1f       %5.1f\n",
-			cfg.Name, res.ExecCycles, res.CommitRate(),
+		fmt.Printf("%-16s  %-9d  %.3f   %5.1f     %5.1f   %5.1f       %5.1f\n",
+			name, res.ExecCycles, res.CommitRate(),
 			100*bd[stats.CatWaitLock], 100*bd[stats.CatLock],
 			100*bd[stats.CatSwitchLock], 100*bd[stats.CatAborted])
 	}

@@ -1,6 +1,7 @@
-// Quickstart: build a tiny transactional workload with the public API and
+// Quickstart: build a tiny transactional workload as cpu.Programs and
 // compare coarse-grained locking, requester-win best-effort HTM, and the
-// full LockillerTM system on it.
+// full LockillerTM system on it, through the same harness.Spec every
+// figure runs.
 //
 //	go run ./examples/quickstart
 package main
@@ -8,9 +9,10 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/mem"
+	"repro/internal/stamp"
 )
 
 func main() {
@@ -45,21 +47,30 @@ func main() {
 	}
 
 	var cglCycles uint64
-	for _, cfg := range []core.Config{core.CGL(), core.Baseline(), core.LockillerTM()} {
-		cfg.Seed = 1
-		m, res, err := core.RunMachine(cfg, programs)
+	for _, name := range []string{"CGL", "Baseline", "LockillerTM"} {
+		sys, err := harness.SystemByName(name)
 		if err != nil {
 			panic(err)
 		}
-		if cfg.Name == "CGL" {
+		spec := harness.Spec{System: sys, Workload: stamp.Profile{Name: "custom"},
+			Threads: threads, Cache: harness.TypicalCache(), Seed: 1}
+		// NewMachineFor rather than ExecuteWith: the machine must outlive
+		// the run so its functional counters can be read.
+		m := harness.NewMachineFor(spec, harness.ExecOptions{Programs: programs})
+		res, err := m.Run()
+		if err != nil {
+			panic(err)
+		}
+		if name == "CGL" {
 			cglCycles = res.ExecCycles
 		}
 		var tally uint64
 		for i := 0; i < accounts.N; i++ {
 			tally += m.CounterValue(accounts.Pick(i))
 		}
+		m.Release()
 		fmt.Printf("%-12s  cycles=%-9d commit-rate=%.3f  speedup-vs-CGL=%.2fx  atomic=%v\n",
-			cfg.Name, res.ExecCycles, res.CommitRate(),
+			name, res.ExecCycles, res.CommitRate(),
 			float64(cglCycles)/float64(res.ExecCycles),
 			tally == uint64(2*threads*perThread))
 	}

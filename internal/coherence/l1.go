@@ -417,7 +417,7 @@ func (l1 *L1) allocateWay(line mem.Line, write bool, done func(), ep uint64) *ca
 // under switchingMode an HTM transaction's first own-allocation overflow
 // applies for STL authorization; otherwise it aborts with a capacity cause.
 func (l1 *L1) overflow(line mem.Line, write bool, done func(), ep uint64) {
-	switch l1.sys.HTM.Overflow.Decide(l1.Tx.Mode, l1.Tx.TriedSwitch, false) {
+	switch l1.sys.Overflow.Decide(l1.Tx.Mode, l1.Tx.TriedSwitch, false) {
 	case htm.OverflowSpill:
 		v := l1.arr.AnyVictim(line)
 		if v == nil {
@@ -649,7 +649,7 @@ func (l1 *L1) rejected(m *Msg) {
 		l1.resolveParked(ms)
 		return
 	}
-	dec := l1.sys.HTM.Conflict.Rejected(l1.Tx.Mode)
+	dec := l1.sys.Conflict.Rejected(l1.Tx.Mode)
 	if t := l1.sys.Telemetry; t != nil {
 		// The loser's involvement is its request flavor: the line was being
 		// pulled into the read or write set when the rejector defeated it.
@@ -669,7 +669,7 @@ func (l1 *L1) causeFromRejector(m *Msg) htm.AbortCause {
 	if m.Line == l1.sys.LockLine {
 		return htm.CauseMutex
 	}
-	return l1.sys.HTM.Conflict.RejectorCause(m.RejectorMode)
+	return l1.sys.Conflict.RejectorCause(m.RejectorMode)
 }
 
 // park holds a rejected request in the MSHR and schedules a retry after the
@@ -988,7 +988,7 @@ func (l1 *L1) invReject(m *Msg) {
 // stay — the directory entry dies with the eviction and tolerates the stale
 // copy).
 func (l1 *L1) recallOverflow(e *cache.Entry) {
-	switch l1.sys.HTM.Overflow.Decide(l1.Tx.Mode, l1.Tx.TriedSwitch, true) {
+	switch l1.sys.Overflow.Decide(l1.Tx.Mode, l1.Tx.TriedSwitch, true) {
 	case htm.OverflowSpill:
 		l1.spillToSignature(e)
 	case htm.OverflowAbort:
@@ -1027,14 +1027,14 @@ func (l1 *L1) ownerWins(m *Msg) bool {
 	case htm.NonTx, htm.Mutex:
 		return false
 	}
-	return l1.sys.HTM.Conflict.OwnerWins(
+	return l1.sys.Conflict.OwnerWins(
 		htm.ConflictSide{Mode: l1.Tx.Mode, Prio: l1.Tx.Priority(), Core: l1.core},
 		htm.ConflictSide{Mode: m.ReqMode, Prio: m.Prio, Core: m.Requester})
 }
 
 // arbDelay is the extra arbitration latency the owner's cache controller
 // pays before sending a reject (LosaTM charges one cycle).
-func (l1 *L1) arbDelay() uint64 { return l1.sys.HTM.Conflict.ArbDelay() }
+func (l1 *L1) arbDelay() uint64 { return l1.sys.Conflict.ArbDelay() }
 
 // victimCause classifies the abort cause when this transaction loses a
 // conflict to the message's requester.
@@ -1064,7 +1064,7 @@ func (l1 *L1) abortVictim(m *Msg, e *cache.Entry) {
 // abort time. Recording is skipped when the conflict policy says the
 // requester will never park waiting for a wake-up.
 func (l1 *L1) noteRejected(m *Msg) {
-	if !l1.sys.HTM.Conflict.RecordsWake(m.ReqMode) {
+	if !l1.sys.Conflict.RecordsWake(m.ReqMode) {
 		return
 	}
 	l1.wake.Add(m.Requester)

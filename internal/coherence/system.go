@@ -116,12 +116,16 @@ func (p Params) topology() topology.Topology {
 // tile, connected by the mesh, plus the HTMLock arbiter when enabled.
 type System struct {
 	Params
-	HTM     htm.Config
-	Engine  *sim.Engine
-	Net     *noc.Network
-	L1s     []*L1
-	Banks   []*Bank
-	Arbiter *htm.Arbiter
+	HTM htm.Config
+	// Conflict and Overflow are the policies HTM composes (htm.Config.
+	// Policies); the L1s consult them on every conflict and overflow.
+	Conflict htm.ConflictPolicy
+	Overflow htm.OverflowPolicy
+	Engine   *sim.Engine
+	Net      *noc.Network
+	L1s      []*L1
+	Banks    []*Bank
+	Arbiter  *htm.Arbiter
 	// Tracer, when non-nil, records protocol events (see internal/trace).
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, receives conflict-provenance records (see
@@ -162,6 +166,7 @@ func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
 		LockLine: mem.Line(0),
 		fired:    newFiredCounters(),
 	}
+	sys.Conflict, sys.Overflow = hc.Policies()
 	if hc.HTMLock {
 		sys.Arbiter = htm.NewArbiter(hc.SignatureBits)
 		sys.Arbiter.SendWake = func(core int) {

@@ -121,6 +121,11 @@ type Spec struct {
 	Topo         string
 	MeshW, MeshH int
 	ClusterSize  int
+	// ThreeLevel adds the private 64 KiB, 8-way middle cache per core of
+	// the MESI-Three-Level-HTM organization the paper replaced (§IV-A;
+	// DESIGN.md §2, row 24). Like the scaling overrides, it only appends
+	// to the memo key.
+	ThreeLevel bool
 }
 
 func (s Spec) key() string {
@@ -139,6 +144,9 @@ func (s Spec) key() string {
 	}
 	if s.ClusterSize > 0 {
 		k += fmt.Sprintf("|cl%d", s.ClusterSize)
+	}
+	if s.ThreeLevel {
+		k += "|3l"
 	}
 	return k
 }
@@ -161,11 +169,15 @@ func GridFor(n int) (w, h int) {
 }
 
 // MachineParams resolves the spec's machine shape: Table I defaults plus
-// the cache configuration and any scaling overrides.
+// the cache configuration, the optional middle cache, and any scaling
+// overrides.
 func (s Spec) MachineParams() coherence.Params {
 	p := coherence.DefaultParams()
 	p.L1Size = s.Cache.L1Size
 	p.LLCSize = s.Cache.LLCSize
+	if s.ThreeLevel {
+		p.MidSize, p.MidWays = 64*1024, 8
+	}
 	if s.Cores > 0 {
 		p.Cores = s.Cores
 	}
@@ -204,11 +216,20 @@ type ExecOptions struct {
 	// Leave nil rather than wrapping a nil concrete pointer: a typed nil
 	// would defeat the engine's nil guards.
 	Probe obs.EngineProbe
+	// Programs, when set, replaces the programs the spec's workload would
+	// generate (custom workloads, replayed -import files, the runner's
+	// memoized set). It is not part of the spec key, so a run with custom
+	// programs must not be cached under it. len(Programs) must equal
+	// Spec.Threads.
+	Programs []cpu.Program
 }
 
 // ExecuteWith runs one simulation to completion with the given
 // instrumentation (ExecOptions{} runs bare) and releases the machine.
 func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
+	if opts.Programs != nil && len(opts.Programs) != s.Threads {
+		return nil, fmt.Errorf("harness: %d programs for %d threads", len(opts.Programs), s.Threads)
+	}
 	return runAndRelease(NewMachineFor(s, opts))
 }
 
@@ -220,18 +241,16 @@ func runAndRelease(m *cpu.Machine) (*stats.Run, error) {
 	return res, err
 }
 
-// NewMachineFor constructs the machine a spec describes, programmed and
-// ready to Run.
+// NewMachineFor constructs the machine a spec describes, programmed (with
+// opts.Programs, or else the workload's generated programs) and ready to
+// Run.
 func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
-	return newMachine(s, opts, stamp.Programs(s.Workload, s.Threads, s.Seed))
-}
-
-// newMachine is NewMachineFor with the spec's programs supplied by the
-// caller: the runner passes its memoized set.
-func newMachine(s Spec, opts ExecOptions, progs []cpu.Program) *cpu.Machine {
-	p := s.MachineParams()
+	progs := opts.Programs
+	if progs == nil {
+		progs = stamp.Programs(s.Workload, s.Threads, s.Seed)
+	}
 	cfg := cpu.Config{
-		Machine:       p,
+		Machine:       s.MachineParams(),
 		HTM:           s.System.HTM,
 		Sync:          s.System.Sync,
 		Threads:       s.Threads,
@@ -361,11 +380,11 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		// Each run gets a private probe (probes are not safe for
 		// concurrent use); the sweep-level aggregate locks on merge.
 		p := obs.NewProfiler()
-		res, err := runAndRelease(newMachine(s, ExecOptions{Probe: p}, r.progs.get(s)))
+		res, err := runAndRelease(NewMachineFor(s, ExecOptions{Probe: p, Programs: r.progs.get(s)}))
 		r.Profiler.Merge(p)
 		return res, err
 	}
-	return runAndRelease(newMachine(s, ExecOptions{}, r.progs.get(s)))
+	return runAndRelease(NewMachineFor(s, ExecOptions{Programs: r.progs.get(s)}))
 }
 
 // Get runs (or returns the memoized result of) a single spec. Concurrent

@@ -50,7 +50,7 @@ func checkGolden(t *testing.T, r *Runner) {
 func setReuse(r *Runner, reuse bool) {
 	if !reuse {
 		r.exec = func(s Spec) (*stats.Run, error) {
-			return newMachine(s, ExecOptions{}, r.progs.get(s)).Run()
+			return NewMachineFor(s, ExecOptions{Programs: r.progs.get(s)}).Run()
 		}
 	}
 }

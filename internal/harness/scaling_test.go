@@ -23,8 +23,9 @@ func TestGridFor(t *testing.T) {
 }
 
 // TestSpecKeyScalingSuffixOnly guards memo-key compatibility: a spec with
-// no scaling overrides must produce exactly the pre-scaling key (persisted
-// result files stay valid), and overrides may only append to it.
+// no scaling or three-level overrides must produce exactly the pre-scaling
+// key (persisted result files stay valid), and overrides may only append
+// to it.
 func TestSpecKeyScalingSuffixOnly(t *testing.T) {
 	s := Spec{System: mustSystem("Baseline"), Workload: stamp.Intruder(),
 		Threads: 8, Cache: TypicalCache(), Seed: 1}
@@ -41,8 +42,18 @@ func TestSpecKeyScalingSuffixOnly(t *testing.T) {
 		t.Fatal("scaling overrides must be key-affecting")
 	}
 	s.MeshW, s.MeshH = 16, 16
-	if grid := s.key(); grid == scaled || !strings.HasPrefix(grid, base) {
+	grid := s.key()
+	if grid == scaled || !strings.HasPrefix(grid, base) {
 		t.Fatalf("explicit grid must be key-affecting and keep the base prefix: %q vs %q", grid, scaled)
+	}
+	s.ThreeLevel = true
+	if k := s.key(); k != grid+"|3l" {
+		t.Fatalf("three-level key = %q, want the suffix |3l on %q", k, grid)
+	}
+	plain3l := Spec{System: mustSystem("Baseline"), Workload: stamp.Intruder(),
+		Threads: 8, Cache: TypicalCache(), Seed: 1, ThreeLevel: true}
+	if k := plain3l.key(); k != base+"|3l" {
+		t.Fatalf("three-level key = %q, want the suffix |3l on %q", k, base)
 	}
 }
 
@@ -50,8 +61,11 @@ func TestSpecKeyScalingSuffixOnly(t *testing.T) {
 // derived grids, cmesh concentration, and explicit-grid precedence.
 func TestMachineParamsOverrides(t *testing.T) {
 	s := Spec{Cache: TypicalCache()}
-	if p := s.MachineParams(); p.Cores != 32 || p.MeshW != 4 || p.MeshH != 8 || p.Topo != "" {
+	if p := s.MachineParams(); p.Cores != 32 || p.MeshW != 4 || p.MeshH != 8 || p.Topo != "" || p.MidSize != 0 {
 		t.Fatalf("no-override params changed: %+v", p)
+	}
+	if p := (Spec{Cache: TypicalCache(), ThreeLevel: true}).MachineParams(); p.MidSize != 64*1024 || p.MidWays != 8 {
+		t.Fatalf("three-level middle cache = %d B, %d ways; want 64 KiB, 8 ways", p.MidSize, p.MidWays)
 	}
 	s.Cores = 256
 	if p := s.MachineParams(); p.MeshW != 16 || p.MeshH != 16 {

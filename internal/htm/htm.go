@@ -171,13 +171,6 @@ type Config struct {
 	RollbackPenalty uint64
 	// SignatureBits sizes the LLC overflow signatures (OfRdSig/OfWrSig).
 	SignatureBits int
-
-	// Conflict and Overflow are the composed policy objects the coherence
-	// controllers consult (see policy.go). Defaults() fills them from the
-	// flag fields above when nil, so each Table II row is a composition of
-	// policies; set them explicitly to run a custom composition.
-	Conflict ConflictPolicy
-	Overflow OverflowPolicy
 }
 
 // Validate panics on inconsistent configurations; it is called by the
@@ -194,12 +187,6 @@ func (c Config) Validate() {
 	}
 	if c.HTMLock && c.SignatureBits <= 0 {
 		panic("htm: HTMLock requires SignatureBits > 0")
-	}
-	if c.Conflict == nil || c.Overflow == nil {
-		panic("htm: Config used without Defaults (no conflict/overflow policy composed)")
-	}
-	if _, ok := c.Overflow.(SwitchOverflow); ok && !c.HTMLock {
-		panic("htm: SwitchOverflow requires HTMLock")
 	}
 }
 
@@ -224,26 +211,28 @@ func (c Config) Defaults() Config {
 	if c.SignatureBits == 0 {
 		c.SignatureBits = 2048
 	}
-	// Compose the policy objects from the legacy flags (after the numeric
-	// knobs above are final, since the policies capture them by value).
-	if c.Conflict == nil {
-		switch {
-		case c.Recovery:
-			c.Conflict = Recovery{Policy: c.RejectPolicy, Backoff: c.RetryBackoff, Timeout: c.RejectTimeout}
-		case c.Losa:
-			c.Conflict = Losa{Timeout: c.RejectTimeout}
-		default:
-			c.Conflict = RequesterWins{Timeout: c.RejectTimeout}
-		}
-	}
-	if c.Overflow == nil {
-		if c.SwitchingMode {
-			c.Overflow = SwitchOverflow{}
-		} else {
-			c.Overflow = AbortOverflow{}
-		}
-	}
 	return c
+}
+
+// Policies composes the policy objects the coherence controllers consult
+// (see policy.go) from the flag fields: each Table II row is one conflict
+// policy plus one overflow policy. The coherence system calls it once per
+// machine, after Defaults, so a flag changed at any point before the build
+// takes effect.
+func (c Config) Policies() (ConflictPolicy, OverflowPolicy) {
+	var conflict ConflictPolicy
+	switch {
+	case c.Recovery:
+		conflict = Recovery{Policy: c.RejectPolicy, Backoff: c.RetryBackoff, Timeout: c.RejectTimeout}
+	case c.Losa:
+		conflict = Losa{Timeout: c.RejectTimeout}
+	default:
+		conflict = RequesterWins{Timeout: c.RejectTimeout}
+	}
+	if c.SwitchingMode {
+		return conflict, SwitchOverflow{}
+	}
+	return conflict, AbortOverflow{}
 }
 
 // ConflictArbitration reports whether the recovery-style conflict manager

@@ -14,10 +14,9 @@ import "repro/internal/priority"
 //     overflows the L1 (abort, spill into the LLC signatures, or switch to
 //     STL mode) — the HTMLock and switchingMode mechanisms of §III-B/C.
 //
-// Each Table II SystemDef row is now a composition of one value of each
-// interface (plus the priority.Policy it already carried); Config.Defaults
-// performs the composition from the legacy flag fields so existing
-// configurations keep working unchanged.
+// Each Table II SystemDef row is a composition of one value of each
+// interface (plus the priority.Policy it already carried); Config.Policies
+// composes them from the flag fields, once per machine build.
 //
 // The universal arbitration rules are NOT policy and stay in the coherence
 // controllers: an irrevocable lock transaction (TL/STL) always wins, and a

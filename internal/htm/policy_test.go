@@ -139,8 +139,8 @@ func TestOverflowMatrix(t *testing.T) {
 	}
 }
 
-// TestDefaultsComposition checks that each Table II flag combination
-// composes the expected policy objects.
+// TestDefaultsComposition checks that each Table II flag combination, once
+// defaulted, composes the expected policy objects.
 func TestDefaultsComposition(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -157,24 +157,20 @@ func TestDefaultsComposition(t *testing.T) {
 			"recovery/wait-wakeup", "switching-mode"},
 	}
 	for _, c := range cases {
-		got := c.cfg.Defaults()
-		if got.Conflict.Name() != c.wantConflict {
-			t.Errorf("%s: Conflict = %s, want %s", c.name, got.Conflict.Name(), c.wantConflict)
+		cfg := c.cfg.Defaults()
+		conflict, overflow := cfg.Policies()
+		if conflict.Name() != c.wantConflict {
+			t.Errorf("%s: Conflict = %s, want %s", c.name, conflict.Name(), c.wantConflict)
 		}
-		if got.Overflow.Name() != c.wantOverflow {
-			t.Errorf("%s: Overflow = %s, want %s", c.name, got.Overflow.Name(), c.wantOverflow)
+		if overflow.Name() != c.wantOverflow {
+			t.Errorf("%s: Overflow = %s, want %s", c.name, overflow.Name(), c.wantOverflow)
 		}
 		// The composed Recovery policy must capture the defaulted knobs.
-		if r, ok := got.Conflict.(Recovery); ok {
-			if r.Backoff != got.RetryBackoff || r.Timeout != got.RejectTimeout {
+		if r, ok := conflict.(Recovery); ok {
+			if r.Backoff != cfg.RetryBackoff || r.Timeout != cfg.RejectTimeout {
 				t.Errorf("%s: Recovery captured (%d,%d), config has (%d,%d)",
-					c.name, r.Backoff, r.Timeout, got.RetryBackoff, got.RejectTimeout)
+					c.name, r.Backoff, r.Timeout, cfg.RetryBackoff, cfg.RejectTimeout)
 			}
 		}
-	}
-	// An explicit policy survives Defaults untouched.
-	pre := Config{Conflict: Losa{Timeout: 7}, Overflow: SwitchOverflow{}}.Defaults()
-	if pre.Conflict != (Losa{Timeout: 7}) || pre.Overflow != (SwitchOverflow{}) {
-		t.Errorf("Defaults overwrote explicit policies: %+v / %+v", pre.Conflict, pre.Overflow)
 	}
 }
