@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench bench-compare telemetry-smoke obs-smoke sim-smoke figures eval clean
+.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench bench-compare ab telemetry-smoke obs-smoke sim-smoke figures eval clean
 
 all: vet lint build test
 
@@ -71,6 +71,17 @@ bench:
 # BENCH_*.json (±15% per benchmark; FusedHitChain must stay 0 allocs/op).
 bench-compare:
 	sh scripts/bench_compare.sh
+
+# Side-by-side A/B of a base revision against the working tree on the
+# repository benchmark: alternating runs, each side's median/min/max
+# wall_s, and a failure if either side's results miss their digests.
+#   make ab REV=HEAD~1 [WORKLOAD=lock-256] [PAIRS=10] [SECS=10]
+REV ?= HEAD
+WORKLOAD ?= abort-storm-64
+PAIRS ?= 6
+SECS ?= 10
+ab:
+	sh scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS) $(SECS)
 
 # Short end-to-end observability check: run one small simulation with all
 # telemetry enabled twice with the same seed, assert byte-identical output,

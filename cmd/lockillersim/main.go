@@ -29,7 +29,7 @@ import (
 func main() {
 	system := flag.String("system", "Baseline", "Table II system name")
 	workload := flag.String("workload", "intruder", "STAMP workload name")
-	threads := flag.Int("threads", 2, "thread count (2..32)")
+	threads := flag.Int("threads", 2, "thread count (1..cores)")
 	cacheName := flag.String("cache", "typical", "cache config: typical, small, large")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list systems and workloads, then exit")
@@ -114,6 +114,11 @@ func main() {
 	spec := harness.Spec{System: sys, Workload: wl, Threads: *threads, Cache: cache, Seed: *seed,
 		DisableFusion: disableFusion, Cores: *cores, Topo: *topo, ClusterSize: *cluster,
 		ThreeLevel: *threeLevel}
+	if *importPath == "" { // an import sets the thread count; ExecuteWith checks it
+		if err := spec.Validate(); err != nil {
+			fatal(err)
+		}
+	}
 	if *exportPath != "" {
 		f, err := os.Create(*exportPath)
 		if err != nil {

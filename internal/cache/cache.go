@@ -205,6 +205,13 @@ func (a *Array) Touch(e *Entry) {
 	e.lru = a.clock
 }
 
+// TouchN is n Touch calls on e in a row: the clock advances by n and e
+// holds the last stamp.
+func (a *Array) TouchN(e *Entry, n uint64) {
+	a.clock += n
+	e.lru = a.clock
+}
+
 // Peek is Lookup without the LRU refresh (for external probes that must not
 // perturb replacement decisions).
 func (a *Array) Peek(l mem.Line) *Entry {

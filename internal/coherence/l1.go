@@ -62,6 +62,9 @@ type L1 struct {
 	// spinEntry caches the fallback-lock line's entry while the core spins
 	// on it (SpinHit); nil when no guaranteed hit is cached.
 	spinEntry *cache.Entry
+	// quiet is the spinning thread's quiet-spin slot (BindQuiet); nil for
+	// an L1 no thread runs on.
+	quiet *QuietSpin
 
 	// mshrs is an open-addressed line→MSHR table (see mshrtable.go): flat,
 	// allocation-free in steady state, with O(1) live/parked counts.
@@ -174,6 +177,7 @@ func (l1 *L1) tracking() bool { return l1.Tx.InTx() }
 // event carrying the access-time epoch, so no guard closure is built. Miss
 // paths wrap done in an epoch guard as before (one closure per miss).
 func (l1 *L1) Access(line mem.Line, write bool, done func()) {
+	l1.Settle()
 	if m := l1.mshrs.lookup(line); m != nil {
 		// A request for this line is already outstanding (e.g. issued by a
 		// previous, aborted attempt). Re-dispatch when it resolves.
@@ -223,6 +227,7 @@ const (
 
 // OnEvent implements sim.Handler for the L1's allocation-free completions.
 func (l1 *L1) OnEvent(kind uint8, a uint64, p any) {
+	l1.Settle()
 	switch kind {
 	case evL1Done:
 		if a != l1.epoch {
@@ -320,6 +325,7 @@ func (l1 *L1) TryFastHit(line mem.Line, write bool) bool { return l1.fastHit(lin
 
 // fastHit is TryFastHit returning the hit entry (nil when it declined).
 func (l1 *L1) fastHit(line mem.Line, write bool) *cache.Entry {
+	l1.Settle()
 	if l1.mshrs.lookup(line) != nil {
 		return nil // outstanding request: the access must queue behind it
 	}
@@ -361,7 +367,61 @@ func (l1 *L1) SpinHit() bool {
 
 // EndSpin drops the cached lock-line entry: the core runs other accesses
 // from here on, and they may evict or replace it.
-func (l1 *L1) EndSpin() { l1.spinEntry = nil }
+func (l1 *L1) EndSpin() {
+	l1.Settle()
+	l1.spinEntry = nil
+}
+
+// QuietSpin is one spinning thread's quiet-spin slot (DESIGN.md §10). The
+// machine owns the slots, one per thread in a compact slice, so a spin
+// tick of a quiet thread reads only its slot; the thread's L1 holds a
+// pointer to it (BindQuiet).
+type QuietSpin struct {
+	// On: the thread's spin ticks skip their bodies, counting re-reads in
+	// Skipped instead of applying them.
+	On bool
+	// Skipped is the number of lock re-reads skipped since the last Settle.
+	Skipped uint64
+}
+
+// BindQuiet attaches the quiet-spin slot of the thread running on this L1.
+func (l1 *L1) BindQuiet(q *QuietSpin) { l1.quiet = q }
+
+// Quiesce marks the spin quiet when its lock re-reads are cached hits
+// (SpinHit). The caller has just seen the lock held and re-armed the next
+// re-read.
+//
+// While quiet, each re-read would cost Hits++ and one Touch of the cached
+// entry; the spin ticks skip it and count it instead, and Settle applies
+// the count. Settle must run before anything that could read or change
+// that state: every entry point of this L1 (Receive, OnEvent, Access,
+// fastHit, the three-level promote and deferred flush), EndSpin, and the
+// end of the run. Nothing else reaches the L1's array while its core
+// spins, so the late application is exact.
+func (l1 *L1) Quiesce() {
+	if l1.spinEntry != nil {
+		l1.quiet.On = true
+	}
+}
+
+// Settle applies the re-reads a quiet spin skipped and ends the quiet
+// stretch: the next spin tick runs its body again. A quiet spin has its
+// lock re-read cached, so the common case, no spin, costs one test of a
+// field of the L1 itself.
+func (l1 *L1) Settle() {
+	if l1.spinEntry != nil && l1.quiet != nil && l1.quiet.On {
+		l1.settle(l1.quiet)
+	}
+}
+
+func (l1 *L1) settle(q *QuietSpin) {
+	if n := q.Skipped; n > 0 {
+		l1.Hits += n
+		l1.arr.TouchN(l1.spinEntry, n)
+		q.Skipped = 0
+	}
+	q.On = false
+}
 
 // forgetSpin drops the cached lock-line entry when line is the lock line.
 func (l1 *L1) forgetSpin(line mem.Line) {
@@ -540,6 +600,7 @@ func (l1 *L1) sendReq(m *mshr) {
 // message (free-msg) or moves its ownership to a store (queue-external; the
 // drain loop re-enters Receive and the normal rules apply).
 func (l1 *L1) Receive(m *Msg) {
+	l1.Settle()
 	l1.forgetSpin(m.Line)
 	s := l1Ready
 	if l1.applying {
@@ -881,6 +942,7 @@ func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
 		mv := *m // value copy: the pooled message is recycled before the flush runs
 		//lockiller:alloc-ok three-level baseline only; the deferred forward reply needs the entry, line, requester, and flavor
 		l1.sys.Engine.After(l1.sys.MidHit, func() {
+			l1.Settle()
 			l1.forgetSpin(line) // a spin may have re-cached the entry this flush moves
 			if !e.State.Valid() {
 				// The line moved while the flush was in flight (abort).

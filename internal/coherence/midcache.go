@@ -47,6 +47,7 @@ func (l1 *L1) midLookup(line mem.Line) *cache.Entry {
 // (abort) or one reused for a different line dispatches as the synthetic
 // stale state and the access is re-resolved from scratch.
 func (l1 *L1) promoteFromMid(line mem.Line, me *cache.Entry, write bool, gdone func()) {
+	l1.Settle()
 	evt := midLoad
 	if write {
 		evt = midStore

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -192,5 +193,90 @@ func TestSpinHitThreeLevelFlush(t *testing.T) {
 	if l1.Misses != misses+1 || l1.MidHits != midHits+1 {
 		t.Fatalf("re-read after the flush: misses %d→%d, mid hits %d→%d; want an L1 miss served by the middle cache",
 			misses, l1.Misses, midHits, l1.MidHits)
+	}
+}
+
+// TestQuietSpinSettlesExactly checks a quiet spin against the re-reads it
+// skips. Each case brings core 0's L1 to a spin with its lock re-read
+// cached, then runs n re-reads (SpinHit) or marks the spin quiet with n
+// skipped re-reads, before an L1 entry point that touches the array: the
+// core's own hit, a fill, a forward for another line, and the
+// three-level promote. After the entry point and EndSpin, the hit count
+// and both arrays, LRU stamps included, must be identical.
+func TestQuietSpinSettlesExactly(t *testing.T) {
+	const n = 5
+	type step func(t *testing.T, es *engineSys, other func(int) mem.Line)
+	cases := []struct {
+		name       string
+		threeLevel bool
+		before     step // runs before the re-reads
+		after      step // runs after them
+	}{
+		{name: "hit", after: func(t *testing.T, es *engineSys, other func(int) mem.Line) {
+			access(t, es.e, es.sys, 0, other(1), false)
+		}},
+		{name: "fill", before: func(t *testing.T, es *engineSys, other func(int) mem.Line) {
+			tryAccess(es.e, es.sys, 0, other(3), false)
+		}},
+		{name: "forward", after: func(t *testing.T, es *engineSys, other func(int) mem.Line) {
+			access(t, es.e, es.sys, 1, other(1), true)
+		}},
+		{name: "promote", threeLevel: true, before: func(t *testing.T, es *engineSys, other func(int) mem.Line) {
+			access(t, es.e, es.sys, 0, other(2), false)
+			access(t, es.e, es.sys, 0, other(3), false)
+			access(t, es.e, es.sys, 0, other(4), false) // demotes other(1)
+			if me := es.sys.L1s[0].MidArray().Peek(other(1)); me == nil || !me.State.Valid() {
+				t.Fatal("other(1) was not demoted to the middle cache")
+			}
+			tryAccess(es.e, es.sys, 0, other(1), false)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var arrs, mids [2]*cache.Array
+			var hits [2]uint64
+			for i, quiet := range []bool{false, true} {
+				es := spinSys(t)
+				if tc.threeLevel {
+					es = threeLevel(t, baseCfg())
+				}
+				e, sys, lock := es.e, es.sys, es.sys.LockLine
+				l1 := sys.L1s[0]
+				q := &QuietSpin{}
+				l1.BindQuiet(q)
+				sets := l1.Array().Sets()
+				other := func(k int) mem.Line { return lock + mem.Line(k*sets) }
+				access(t, e, sys, 0, other(1), false)
+				access(t, e, sys, 0, lock, false)
+				drain(e)
+				spinHits(t, sys, 0, 1) // caches the entry
+				if tc.before != nil {
+					tc.before(t, es, other)
+				}
+				if quiet {
+					if l1.Quiesce(); !q.On {
+						t.Fatal("Quiesce declined a cached lock re-read")
+					}
+					q.Skipped = n
+				} else {
+					spinHits(t, sys, 0, n)
+				}
+				if tc.after != nil {
+					tc.after(t, es, other)
+				}
+				drain(e)
+				l1.EndSpin()
+				if q.On || q.Skipped != 0 {
+					t.Fatalf("quiet=%v: slot %+v not settled", quiet, *q)
+				}
+				arrs[i], mids[i], hits[i] = l1.Array(), l1.MidArray(), l1.Hits
+			}
+			if hits[0] != hits[1] {
+				t.Errorf("hits: %d evented, %d quiet", hits[0], hits[1])
+			}
+			if !reflect.DeepEqual(arrs[0], arrs[1]) || !reflect.DeepEqual(mids[0], mids[1]) {
+				t.Error("the quiet spin left the L1 arrays (LRU stamps included) different from the evented spin")
+			}
+		})
 	}
 }

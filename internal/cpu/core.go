@@ -586,6 +586,7 @@ func (c *Core) spinWhileHeld() {
 func (c *Core) spinCheck() {
 	if c.m.Lock.Held() {
 		c.engine().AfterTick(c.m.Cfg.SpinInterval, c.tickID|tickSpinRead)
+		c.m.Sys.L1s[c.id].Quiesce()
 		return
 	}
 	c.m.Sys.L1s[c.id].EndSpin()

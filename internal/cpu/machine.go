@@ -121,6 +121,11 @@ type Machine struct {
 	// counts witness end-to-end atomicity.
 	counters map[mem.Line]uint64
 
+	// spins holds each thread's quiet-spin slot (coherence.QuietSpin),
+	// indexed like Cores: a quiet spin tick reads its slot and not the
+	// core (OnTick).
+	spins []coherence.QuietSpin
+
 	running int
 }
 
@@ -158,11 +163,13 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 		Barrier:  NewBarrier(engine, cfg.Threads),
 		Stats:    stats.NewRun(label, workload, cfg.Threads),
 		counters: make(map[mem.Line]uint64),
+		spins:    make([]coherence.QuietSpin, cfg.Threads),
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	coreOf := mapThreads(cfg.Placement, cfg.Threads, cfg.Machine.Cores)
 	for i := 0; i < cfg.Threads; i++ {
 		c := newCore(m, coreOf[i], programs[i], m.Stats.Cores[i], rng.Split(uint64(i)), uint32(i)<<1)
+		sys.L1s[c.id].BindQuiet(&m.spins[i])
 		m.Cores = append(m.Cores, c)
 	}
 	engine.SetTick(m)
@@ -217,7 +224,25 @@ func (m *Machine) ProbeClass() string { return "core" }
 
 // OnTick implements sim.TickReceiver: it runs one step of a core's lock
 // spin (tick id = thread index << 1 | tick kind).
+//
+// A quiet spinner's step (L1.Quiesce) skips the body while the body
+// would change nothing but the L1 state L1.Settle applies later: a
+// re-read counts itself and re-arms the check, and a check that sees the
+// lock held re-arms the re-read, each with the delay the body would use,
+// so the tick takes the same (when, seq) slot. A check that sees the lock
+// free runs the body, which ends the spin (EndSpin settles).
 func (m *Machine) OnTick(id uint32) {
+	if q := &m.spins[id>>1]; q.On {
+		if id&1 == tickSpinRead {
+			q.Skipped++
+			m.Engine.AfterTick(m.Sys.L1Hit, id|tickSpinCheck)
+			return
+		}
+		if m.Lock.Held() {
+			m.Engine.AfterTick(m.Cfg.SpinInterval, id&^tickSpinCheck)
+			return
+		}
+	}
 	c := m.Cores[id>>1]
 	if id&1 == tickSpinCheck {
 		c.spinCheck()
@@ -235,6 +260,9 @@ func (m *Machine) Run() (*stats.Run, error) {
 		m.Engine.After(0, c.start)
 	}
 	err := m.Engine.Run(m.Cfg.Limit)
+	for _, c := range m.Cores { // a run can stop with spinners quiet
+		m.Sys.L1s[c.id].Settle()
+	}
 	m.collectTraffic()
 	if err != nil {
 		return m.Stats, fmt.Errorf("cpu: %s/%s threads=%d: %w\n%s",

@@ -155,6 +155,16 @@ func (s Spec) key() string {
 // memo, the disk cache, and the obs run ledger.
 func (s Spec) Key() string { return s.key() }
 
+// Validate checks the spec against the machine it describes: at least one
+// thread, and no more threads than cores (the paper binds each thread to
+// one core). The error names the spec key.
+func (s Spec) Validate() error {
+	if cores := s.MachineParams().Cores; s.Threads < 1 || s.Threads > cores {
+		return fmt.Errorf("harness: %s: %d threads, want 1..%d (one per core)", s.Key(), s.Threads, cores)
+	}
+	return nil
+}
+
 // GridFor returns the most-square W×H factorization of n tiles with W ≤ H,
 // matching Table I's 4x8 orientation at 32: 64→8x8, 128→8x16, 256→16x16,
 // 512→16x32, 1024→32x32.
@@ -227,6 +237,9 @@ type ExecOptions struct {
 // ExecuteWith runs one simulation to completion with the given
 // instrumentation (ExecOptions{} runs bare) and releases the machine.
 func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.Programs != nil && len(opts.Programs) != s.Threads {
 		return nil, fmt.Errorf("harness: %d programs for %d threads", len(opts.Programs), s.Threads)
 	}
@@ -421,26 +434,25 @@ func (r *Runner) get(s Spec) (*stats.Run, runAccount, error) {
 	r.mu.Unlock()
 
 	var res *stats.Run
-	var err error
 	var acct runAccount
-	if r.Disk != nil {
+	err := s.Validate() // already names the key
+	if err == nil && r.Disk != nil {
 		if run, ok := r.Disk.Load(k, s.Seed); ok {
 			res, acct = run, runAccount{CacheSrc: "disk"}
 		}
 	}
-	if res == nil {
+	if err == nil && res == nil {
 		timer := obs.StartTimer()
 		mem := obs.TakeMemSnapshot()
 		res, err = r.execute(s)
 		acct = runAccount{Wall: timer.Elapsed(), Mem: mem.Delta()}
-		if err == nil && r.Disk != nil {
+		if err != nil {
+			err = fmt.Errorf("harness: %s: %w", k, err)
+		} else if r.Disk != nil {
 			if serr := r.Disk.Store(k, s.Seed, res); serr != nil && r.Log != nil {
 				r.Log(fmt.Sprintf("disk cache store failed for %s: %v", k, serr))
 			}
 		}
-	}
-	if err != nil {
-		err = fmt.Errorf("harness: %s: %w", k, err)
 	}
 	if r.Ledger != nil {
 		r.Ledger.Append(LedgerRecord(s, res, err, acct.Wall, acct.Mem, acct.CacheSrc))

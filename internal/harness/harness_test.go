@@ -103,6 +103,28 @@ func TestRunAllParallel(t *testing.T) {
 	}
 }
 
+// TestBadThreadCountIsAnError checks that a thread count the machine
+// cannot run (none, or more threads than cores) is an error naming the
+// spec key, from ExecuteWith and from a sweep, which still runs the rest.
+func TestBadThreadCountIsAnError(t *testing.T) {
+	for _, th := range []int{0, 64} {
+		s := Spec{System: mustSystem("Baseline"), Workload: tinyProfile(), Threads: th, Cache: TypicalCache()}
+		if _, err := ExecuteWith(s, ExecOptions{}); err == nil || !strings.Contains(err.Error(), s.Key()) {
+			t.Fatalf("ExecuteWith with %d threads on 32 cores: err = %v, want one naming %s", th, err, s.Key())
+		}
+	}
+	r := NewRunner(1)
+	good := Spec{System: mustSystem("Baseline"), Workload: tinyProfile(), Threads: 2, Cache: TypicalCache()}
+	bad := Spec{System: mustSystem("CGL"), Workload: tinyProfile(), Threads: 64, Cache: TypicalCache()}
+	err := r.RunAll([]Spec{bad, good})
+	if err == nil || !strings.Contains(err.Error(), r.stamp(bad).Key()) {
+		t.Fatalf("RunAll error = %v, want one naming %s", err, r.stamp(bad).Key())
+	}
+	if res, err := r.Get(good); err != nil || res.Sections() == 0 {
+		t.Fatalf("the good spec did not complete beside the bad one: %v", err)
+	}
+}
+
 func TestFigureRenderers(t *testing.T) {
 	r := NewRunner(3)
 	wls := []stamp.Profile{tinyProfile()}

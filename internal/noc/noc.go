@@ -56,10 +56,6 @@ type Network struct {
 	// tile is 8 KiB at 256 tiles and 32 KiB at the 1024-tile ceiling.
 	busyUntil []uint64
 
-	// route is the link-id buffer each message's route is appended into,
-	// reused across messages so routing on demand allocates nothing.
-	route []int32
-
 	// Tracer, when non-nil, records CatNoC events: link enqueue,
 	// serialization stalls, and scheduled delivery.
 	Tracer *trace.Tracer
@@ -106,32 +102,37 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	if src == dst {
 		return now + maxU64(n.cfg.LocalLatency, 1)
 	}
-	n.route = n.topo.AppendRoute(n.route[:0], src, dst)
-	route := n.route
-	if len(route) == 0 {
+	rt := n.topo.Route(src, dst)
+	hops := rt.Hops()
+	if hops == 0 {
 		// Distinct tiles on the same router (concentrated mesh): the local
 		// crossbar, like a tile talking to itself. Never zero cycles.
 		return now + maxU64(n.cfg.LocalLatency, 1)
 	}
-	n.FlitHops += uint64(flits * len(route))
+	n.FlitHops += uint64(flits * hops)
 	if n.cfg.Perfect {
-		lat := uint64(len(route)) * (n.cfg.LinkLatency + n.cfg.RouterDelay)
+		lat := uint64(hops) * (n.cfg.LinkLatency + n.cfg.RouterDelay)
 		return now + maxU64(lat, 1)
 	}
 	if n.Tracer.Enabled(trace.CatNoC) {
-		n.Tracer.Emitf(src, trace.CatNoC, 0, "enqueue %d->%d flits=%d hops=%d", src, dst, flits, len(route))
+		n.Tracer.Emitf(src, trace.CatNoC, 0, "enqueue %d->%d flits=%d hops=%d", src, dst, flits, hops)
 	}
 	// Head-flit arrival time threads through each link in order; the link
 	// is then occupied for the serialization time of the whole message.
+	// The head spends hop cycles per link plus its waits, so the waits sum
+	// to what is left of the arrival time.
+	hop := n.cfg.LinkLatency + n.cfg.RouterDelay
+	busy := n.busyUntil
 	t := now
-	var stalled uint64
-	for _, li := range route {
-		start := maxU64(t, n.busyUntil[li])
-		n.QueueWait += start - t
-		stalled += start - t
-		t = start + n.cfg.LinkLatency + n.cfg.RouterDelay
-		n.busyUntil[li] = start + uint64(flits)
+	for _, run := range rt.Runs() {
+		for li, k, stride := run.First(), run.Count(), run.Stride(); k > 0; li, k = li+stride, k-1 {
+			start := maxU64(t, busy[li])
+			busy[li] = start + uint64(flits)
+			t = start + hop
+		}
 	}
+	stalled := t - now - uint64(hops)*hop
+	n.QueueWait += stalled
 	// Tail flit arrives (flits-1) cycles after the head.
 	t += uint64(flits - 1)
 	if n.Tracer.Enabled(trace.CatNoC) {

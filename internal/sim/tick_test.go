@@ -60,6 +60,57 @@ func runMix(seed uint64, ticks bool) (log []string, executed uint64) {
 	return r.log, r.e.Executed()
 }
 
+// TestRunMatchesStep pins Run's drain of a cycle without re-peeking: a
+// randomized mix of events and ticks runs in exactly the order of a Step
+// loop, which peeks before every item.
+func TestRunMatchesStep(t *testing.T) {
+	run := func(seed uint64, drive func(*Engine)) []string {
+		r := &mixRun{e: NewEngine(), rng: NewRNG(seed), ticks: true, limit: 3000}
+		r.e.SetTick(r)
+		for i := 0; i < 16; i++ {
+			r.spawn()
+		}
+		drive(r.e)
+		return r.log
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		want := run(seed, func(e *Engine) {
+			for e.Step() {
+			}
+		})
+		got := run(seed, func(e *Engine) {
+			if err := e.Run(0); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		})
+		if len(want) < 1000 {
+			t.Fatalf("seed %d: only %d items ran; the mix is too small to test", seed, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Run's order differs from the Step loop's (%d vs %d items)", seed, len(got), len(want))
+		}
+	}
+}
+
+// TestRunAfterAdvanceTo covers a cycle left early: an item at cycle 5
+// advances time to 6 (as the core's fused ops do) and then schedules into
+// the ring slot cycle 5 used, for cycle 69. Run must not take that item
+// for one of cycle 5.
+func TestRunAfterAdvanceTo(t *testing.T) {
+	r := newRecorder()
+	r.on[1] = func() {
+		r.e.AdvanceTo(6)
+		r.e.AfterTick(ringSize-1, 2)
+	}
+	r.e.AfterTick(5, 1)
+	if err := r.e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"t1@5", "t2@69"}; !reflect.DeepEqual(r.log, want) {
+		t.Fatalf("ran %v, want %v", r.log, want)
+	}
+}
+
 // TestTicksMatchEventOrder pins the tick slot rule: a randomized mix of
 // events and ticks, scheduled from many points into shared cycles
 // (including d = 0 and ring/heap ties), executes in exactly the order of

@@ -7,7 +7,10 @@
 // router) without the NoC caring which shape is underneath.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Link identifies a directed link between two adjacent tiles (for the
 // concentrated mesh: between the representative tiles of adjacent routers).
@@ -17,7 +20,9 @@ type Link struct{ From, To int }
 // (0 = x, 1 = y) in direction dir (+1/-1). Routes are sequences of these
 // ids: the link leaving router r through port p (0..3 = +x, -x, +y, -y)
 // has id r*4 + p, so every id is below 4*Tiles() and the NoC can key
-// per-link state with a flat 4-per-router slice. On every link a route
+// per-link state with a flat 4-per-router slice. Consecutive links of a
+// straight stretch differ by a constant stride (a Run): ±4 along x, ±4W
+// along y on a W-wide grid. On every link a route
 // can use, the id and the (from, to) pair it decodes to (Topology.Link)
 // determine each other. The one degenerate case is a torus ring of length
 // 2, where +1 and -1 reach the same neighbour: ringDist breaks that tie
@@ -33,6 +38,64 @@ func decodeLink(id int32) (router, axis, dir int) {
 	return int(id / 4), port / 2, 1 - 2*(port%2)
 }
 
+// Run is one straight stretch of a route: Count links with the dense ids
+// First, First+Stride, ..., in order. A run may be empty (Count 0). It is
+// packed into one word, First in the low 32 bits and then Stride and
+// Count in 16 bits each, so that a Route comes back from the interface
+// call in registers: a route in memory would be written field by field
+// and read back in wider words, which stalls the store forwarding on
+// every message. maxSide keeps every stride and count in 16 bits.
+type Run uint64
+
+// First, Stride and Count unpack a Run.
+func (r Run) First() int32  { return int32(uint32(r)) }
+func (r Run) Stride() int32 { return int32(int16(r >> 32)) }
+func (r Run) Count() int    { return int(uint16(r >> 48)) }
+
+// maxSide bounds a grid's width and height: a stride of 4*maxSide and a
+// count of maxSide fit a Run's 16-bit fields.
+const maxSide = 1 << 12
+
+// Route is a route as four runs: the X stretch (X, then XWrap) and the Y
+// stretch (Y, then YWrap). A stretch that crosses a torus ring's
+// wraparound link splits there into its two runs; otherwise its wrap run
+// is empty. Routing is the same computation for every message, so a route
+// is a small value the NoC walks in place; nothing is stored or buffered.
+type Route struct{ X, XWrap, Y, YWrap Run }
+
+// Runs returns the route's runs in the order the route traverses them.
+func (rt Route) Runs() [4]Run { return [4]Run{rt.X, rt.XWrap, rt.Y, rt.YWrap} }
+
+// Hops returns the number of links the route traverses.
+func (rt Route) Hops() int { return rt.X.Count() + rt.XWrap.Count() + rt.Y.Count() + rt.YWrap.Count() }
+
+// run returns the stretch of |n| links that leaves router r along axis
+// (0 = x, 1 = y) in the direction of n's sign, on a grid whose routers
+// along that axis are step apart (1 along x, the grid width along y). It
+// has no branches: whether a route steps up or down an axis is data, and
+// as a branch it would mispredict on every other message.
+func run(axis, r, n, step int) Run {
+	neg := n >> (bits.UintSize - 1) // -1 stepping down the axis, else 0
+	dir := 1 + 2*neg
+	return Run(uint64(uint32(linkID(r, axis, dir))) |
+		uint64(uint16(4*step*dir))<<32 | uint64((n^neg)-neg)<<48)
+}
+
+// divmod returns v mod w and v / w for a tile or router v of a w-wide
+// grid: its column and row. The NoC routes every message through here,
+// and a 32-bit unsigned division costs a fraction of a signed 64-bit one.
+func divmod(v, w int) (mod, div int) {
+	q := int(uint32(v) / uint32(w))
+	return v - q*w, q
+}
+
+// checkSide panics unless a w x h grid is within maxSide.
+func checkSide(kind string, w, h int) {
+	if w <= 0 || h <= 0 || w > maxSide || h > maxSide {
+		panic(fmt.Sprintf("topology: invalid %s %dx%d (sides 1..%d)", kind, w, h, maxSide))
+	}
+}
+
 // Topology is the interconnect shape the NoC and the machine layer consume.
 // Every implementation routes deterministically: the same (src, dst) pair
 // always takes the same path, which the bit-for-bit replay guarantee
@@ -41,13 +104,12 @@ type Topology interface {
 	// Tiles returns the number of tiles.
 	Tiles() int
 	// Hops returns the number of links a message from src to dst
-	// traverses; Hops(src, dst) == len(AppendRoute(nil, src, dst)) on
-	// every shape.
+	// traverses: Route(src, dst).Hops().
 	Hops(src, dst int) int
-	// AppendRoute appends the dense ids of the links traversed from src to
-	// dst, in order, to buf and returns it. It appends nothing when
-	// src == dst or (concentrated mesh) the two tiles share a router.
-	AppendRoute(buf []int32, src, dst int) []int32
+	// Route returns the links traversed from src to dst, in order, as
+	// runs of dense link ids. It has no runs when src == dst or
+	// (concentrated mesh) the two tiles share a router.
+	Route(src, dst int) Route
 	// Link decodes a dense link id into the tiles it joins.
 	Link(id int32) Link
 	// NumLinks returns the number of distinct directed links, used to
@@ -78,9 +140,7 @@ type Mesh struct{ W, H int }
 
 // NewMesh validates the dimensions and returns the mesh.
 func NewMesh(w, h int) Mesh {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
-	}
+	checkSide("mesh", w, h)
 	return Mesh{W: w, H: h}
 }
 
@@ -91,7 +151,7 @@ func (m Mesh) Name() string { return "mesh" }
 func (m Mesh) Tiles() int { return m.W * m.H }
 
 // XY returns the coordinates of a tile.
-func (m Mesh) XY(tile int) (x, y int) { return tile % m.W, tile / m.W }
+func (m Mesh) XY(tile int) (x, y int) { return divmod(tile, m.W) }
 
 // Tile returns the tile at coordinates (x, y).
 func (m Mesh) Tile(x, y int) int { return y*m.W + x }
@@ -99,20 +159,21 @@ func (m Mesh) Tile(x, y int) int { return y*m.W + x }
 // Hops returns the Manhattan distance between two tiles, which X-Y routing
 // always achieves (it is minimal and deadlock-free on a mesh).
 func (m Mesh) Hops(src, dst int) int {
-	sx, sy := m.XY(src)
-	dx, dy := m.XY(dst)
-	return abs(sx-dx) + abs(sy-dy)
+	return m.Route(src, dst).Hops()
 }
 
 // NumLinks returns the number of distinct directed links: W*(H-1) vertical
 // and H*(W-1) horizontal channels, each bidirectional.
 func (m Mesh) NumLinks() int { return 2 * (m.W*(m.H-1) + m.H*(m.W-1)) }
 
-// AppendRoute implements Topology: dimension-ordered X-then-Y routing.
-func (m Mesh) AppendRoute(buf []int32, src, dst int) []int32 {
+// Route implements Topology: dimension-ordered X-then-Y routing, along
+// src's row to dst's column, then along that column. (CMesh.Route is the
+// same over its router grid; the NoC calls it once per message, so it is
+// written out rather than shared through a call.)
+func (m Mesh) Route(src, dst int) Route {
 	sx, sy := m.XY(src)
 	dx, dy := m.XY(dst)
-	return appendXY(buf, m.W, sx, sy, dx, dy)
+	return Route{X: run(0, src, dx-sx, 1), Y: run(1, sy*m.W+dx, dy-sy, m.W)}
 }
 
 // Link implements Topology.
@@ -136,9 +197,7 @@ type Torus struct{ W, H int }
 
 // NewTorus validates the dimensions and returns the torus.
 func NewTorus(w, h int) Torus {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("topology: invalid torus %dx%d", w, h))
-	}
+	checkSide("torus", w, h)
 	return Torus{W: w, H: h}
 }
 
@@ -149,7 +208,7 @@ func (t Torus) Name() string { return "torus" }
 func (t Torus) Tiles() int { return t.W * t.H }
 
 // XY returns the coordinates of a tile.
-func (t Torus) XY(tile int) (x, y int) { return tile % t.W, tile / t.W }
+func (t Torus) XY(tile int) (x, y int) { return divmod(tile, t.W) }
 
 // Tile returns the tile at coordinates (x, y).
 func (t Torus) Tile(x, y int) int { return y*t.W + x }
@@ -172,11 +231,7 @@ func ringDist(a, b, n int) (dist, dir int) {
 // Hops returns the wraparound Manhattan distance, which dimension-ordered
 // shortest-way routing achieves.
 func (t Torus) Hops(src, dst int) int {
-	sx, sy := t.XY(src)
-	dx, dy := t.XY(dst)
-	hx, _ := ringDist(sx, dx, t.W)
-	hy, _ := ringDist(sy, dy, t.H)
-	return hx + hy
+	return t.Route(src, dst).Hops()
 }
 
 // NumLinks returns the number of distinct directed links. A ring of length
@@ -195,21 +250,27 @@ func ringLinks(l int) int {
 	return 2 * l
 }
 
-// AppendRoute implements Topology: X then Y, each the shorter way around.
-func (t Torus) AppendRoute(buf []int32, src, dst int) []int32 {
+// Route implements Topology: X then Y, each the shorter way around.
+func (t Torus) Route(src, dst int) (rt Route) {
 	x, y := t.XY(src)
 	dx, dy := t.XY(dst)
-	hx, dirX := ringDist(x, dx, t.W)
-	for i := 0; i < hx; i++ {
-		buf = append(buf, linkID(t.Tile(x, y), 0, dirX))
-		x = wrap(x+dirX, t.W)
+	rt.X, rt.XWrap = ring(0, x, dx, t.W, y*t.W, 1)
+	rt.Y, rt.YWrap = ring(1, y, dy, t.H, dx, t.W)
+	return rt
+}
+
+// ring returns the two runs of the shorter way from position p to q
+// around a ring of n routers along axis, where position i is router
+// base + i*step: the links leaving p up to the wraparound link, then the
+// rest.
+func ring(axis, p, q, n, base, step int) (Run, Run) {
+	h, dir := ringDist(p, q, n)
+	first, wrapTo := n-p, 0 // links leaving positions p..n-1, then from 0
+	if dir < 0 {
+		first, wrapTo = p+1, n-1 // positions p..0, then from n-1
 	}
-	hy, dirY := ringDist(y, dy, t.H)
-	for i := 0; i < hy; i++ {
-		buf = append(buf, linkID(t.Tile(x, y), 1, dirY))
-		y = wrap(y+dirY, t.H)
-	}
-	return buf
+	first = min(first, h)
+	return run(axis, base+p*step, first*dir, step), run(axis, base+wrapTo*step, (h-first)*dir, step)
 }
 
 // Link implements Topology.
@@ -242,8 +303,9 @@ type CMesh struct{ W, H, Conc int }
 
 // NewCMesh validates the dimensions and returns the concentrated mesh.
 func NewCMesh(w, h, conc int) CMesh {
-	if w <= 0 || h <= 0 || conc <= 0 {
-		panic(fmt.Sprintf("topology: invalid cmesh %dx%dx%d", w, h, conc))
+	checkSide("cmesh", w, h)
+	if conc <= 0 {
+		panic(fmt.Sprintf("topology: invalid cmesh concentration %d", conc))
 	}
 	return CMesh{W: w, H: h, Conc: conc}
 }
@@ -255,29 +317,28 @@ func (c CMesh) Name() string { return "cmesh" }
 func (c CMesh) Tiles() int { return c.W * c.H * c.Conc }
 
 // Router returns the router a tile attaches to.
-func (c CMesh) Router(tile int) int { return tile / c.Conc }
+func (c CMesh) Router(tile int) int { return int(uint32(tile) / uint32(c.Conc)) }
 
 // repTile returns the representative tile of a router (link identities).
 func (c CMesh) repTile(router int) int { return router * c.Conc }
 
 // routerXY returns a router's grid coordinates.
-func (c CMesh) routerXY(router int) (x, y int) { return router % c.W, router / c.W }
+func (c CMesh) routerXY(router int) (x, y int) { return divmod(router, c.W) }
 
 // Hops returns the router-grid Manhattan distance (0 for same-router tiles).
 func (c CMesh) Hops(src, dst int) int {
-	sx, sy := c.routerXY(c.Router(src))
-	dx, dy := c.routerXY(c.Router(dst))
-	return abs(sx-dx) + abs(sy-dy)
+	return c.Route(src, dst).Hops()
 }
 
 // NumLinks returns the router grid's distinct directed links.
 func (c CMesh) NumLinks() int { return 2 * (c.W*(c.H-1) + c.H*(c.W-1)) }
 
-// AppendRoute implements Topology: X-Y over the router grid.
-func (c CMesh) AppendRoute(buf []int32, src, dst int) []int32 {
-	sx, sy := c.routerXY(c.Router(src))
+// Route implements Topology: X-Y over the router grid.
+func (c CMesh) Route(src, dst int) Route {
+	r := c.Router(src)
+	sx, sy := c.routerXY(r)
 	dx, dy := c.routerXY(c.Router(dst))
-	return appendXY(buf, c.W, sx, sy, dx, dy)
+	return Route{X: run(0, r, dx-sx, 1), Y: run(1, sy*c.W+dx, dy-sy, c.W)}
 }
 
 // Link implements Topology: the link between two routers, named by their
@@ -287,25 +348,6 @@ func (c CMesh) Link(id int32) Link {
 	return Link{From: c.repTile(from), To: c.repTile(gridStep(from, c.W, axis, dir))}
 }
 
-// appendXY appends the dimension-ordered X-then-Y route from router (x, y)
-// to router (dx, dy) of a w-wide grid, numbered row-major.
-func appendXY(buf []int32, w, x, y, dx, dy int) []int32 {
-	r := y*w + x
-	for ; x < dx; x, r = x+1, r+1 {
-		buf = append(buf, linkID(r, 0, +1))
-	}
-	for ; x > dx; x, r = x-1, r-1 {
-		buf = append(buf, linkID(r, 0, -1))
-	}
-	for ; y < dy; y, r = y+1, r+w {
-		buf = append(buf, linkID(r, 1, +1))
-	}
-	for ; y > dy; y, r = y-1, r-w {
-		buf = append(buf, linkID(r, 1, -1))
-	}
-	return buf
-}
-
 // gridStep returns the router one hop from router r of a w-wide grid,
 // numbered row-major, along axis (0 = x, 1 = y) in direction dir.
 func gridStep(r, w, axis, dir int) int {
@@ -313,11 +355,4 @@ func gridStep(r, w, axis, dir int) int {
 		return r + dir
 	}
 	return r + dir*w
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

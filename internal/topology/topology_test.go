@@ -6,13 +6,126 @@ import (
 	"testing/quick"
 )
 
+// routeIDs expands the src->dst route's runs into its dense link ids.
+func routeIDs(topo Topology, src, dst int) []int32 {
+	var ids []int32
+	for _, run := range topo.Route(src, dst).Runs() {
+		for k := 0; k < run.Count(); k++ {
+			ids = append(ids, run.First()+int32(k)*run.Stride())
+		}
+	}
+	return ids
+}
+
 // route decodes the dense link ids of the src->dst route into links.
 func route(topo Topology, src, dst int) []Link {
 	var r []Link
-	for _, id := range topo.AppendRoute(nil, src, dst) {
+	for _, id := range routeIDs(topo, src, dst) {
 		r = append(r, topo.Link(id))
 	}
 	return r
+}
+
+// refRoute is the hop-by-hop reference router the runs are checked
+// against: dimension-ordered X then Y, one link id per step, each the
+// shorter way around on a torus ring.
+func refRoute(topo Topology, src, dst int) []int32 {
+	var w, x, y, dx, dy int
+	ringW, ringH := 0, 0 // ring lengths; 0 on a mesh
+	switch t := topo.(type) {
+	case Mesh:
+		w = t.W
+		x, y = t.XY(src)
+		dx, dy = t.XY(dst)
+	case CMesh:
+		w = t.W
+		x, y = t.routerXY(t.Router(src))
+		dx, dy = t.routerXY(t.Router(dst))
+	case Torus:
+		w, ringW, ringH = t.W, t.W, t.H
+		x, y = t.XY(src)
+		dx, dy = t.XY(dst)
+	}
+	var ids []int32
+	step := func(v, to, n, axis int) {
+		h, dir := abs(to-v), 1
+		if to < v {
+			dir = -1
+		}
+		if n > 0 {
+			h, dir = ringDist(v, to, n)
+		}
+		for ; h > 0; h-- {
+			ids = append(ids, linkID(y*w+x, axis, dir))
+			v += dir
+			if n > 0 {
+				v = wrap(v, n)
+			}
+			if axis == 0 {
+				x = v
+			} else {
+				y = v
+			}
+		}
+	}
+	step(x, dx, ringW, 0)
+	step(y, dy, ringH, 1)
+	return ids
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// TestRouteRunsMatchReference checks every (src, dst) pair's runs against
+// the hop-by-hop reference on the degenerate and the machine-sized
+// shapes: meshes of one tile, one row and one column, every torus with
+// rings of length 1 to 5 (the dateline tie on the even ones), and
+// concentrated meshes of concentration 2 and 4. Each non-empty run
+// steps ±4 (x) or ±4W (y).
+func TestRouteRunsMatchReference(t *testing.T) {
+	shapes := []Topology{NewMesh(1, 1), NewMesh(1, 7), NewMesh(6, 1), NewMesh(4, 8), NewMesh(16, 16),
+		NewCMesh(4, 4, 2), NewCMesh(3, 5, 4)}
+	for w := 1; w <= 5; w++ {
+		for h := 1; h <= 5; h++ {
+			shapes = append(shapes, NewTorus(w, h))
+		}
+	}
+	for _, topo := range shapes {
+		width := 0
+		switch s := topo.(type) {
+		case Mesh:
+			width = s.W
+		case Torus:
+			width = s.W
+		case CMesh:
+			width = s.W
+		}
+		n := topo.Tiles()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				rt := topo.Route(src, dst)
+				for _, run := range rt.Runs() {
+					if s := abs(int(run.Stride())); run.Count() > 0 && s != 4 && s != 4*width {
+						t.Fatalf("%s %d->%d: run %d+%d×%d strides neither ±4 nor ±4W",
+							topo.Name(), src, dst, run.First(), run.Stride(), run.Count())
+					}
+				}
+				got, want := routeIDs(topo, src, dst), refRoute(topo, src, dst)
+				if len(got) != len(want) || rt.Hops() != len(want) {
+					t.Fatalf("%s %d->%d: runs %v (Hops %d), reference %v", topo.Name(), src, dst, got, rt.Hops(), want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %d->%d: runs %v, reference %v", topo.Name(), src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestXYRoundTrip(t *testing.T) {
@@ -30,7 +143,7 @@ func TestRouteLengthEqualsHops(t *testing.T) {
 	if err := quick.Check(func(a, b uint8) bool {
 		src := int(a) % m.Tiles()
 		dst := int(b) % m.Tiles()
-		return len(m.AppendRoute(nil, src, dst)) == m.Hops(src, dst)
+		return len(routeIDs(m, src, dst)) == m.Hops(src, dst)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +192,7 @@ func TestRouteXBeforeY(t *testing.T) {
 
 func TestRouteSelf(t *testing.T) {
 	m := NewMesh(4, 8)
-	if len(m.AppendRoute(nil, 5, 5)) != 0 {
+	if m.Route(5, 5).Hops() != 0 {
 		t.Fatal("self route should be empty")
 	}
 	if m.Hops(5, 5) != 0 {
@@ -117,15 +230,10 @@ func TestNewFactory(t *testing.T) {
 // checkRoute validates the universal route properties on any shape: the
 // route is contiguous from src's router region to dst's, every link id is
 // below 4*Tiles() and decodes to a link spanning exactly one hop,
-// Hops(src,dst) == the route length, AppendRoute keeps what buf already
-// holds, and hops are symmetric.
+// Hops(src,dst) == the route length, and hops are symmetric.
 func checkRoute(t *testing.T, topo Topology, src, dst int) {
 	t.Helper()
-	ids := topo.AppendRoute([]int32{-1}, src, dst)
-	if ids[0] != -1 {
-		t.Fatalf("%s %d->%d: AppendRoute overwrote buf", topo.Name(), src, dst)
-	}
-	ids = ids[1:]
+	ids := routeIDs(topo, src, dst)
 	if len(ids) != topo.Hops(src, dst) {
 		t.Fatalf("%s %d->%d: route length %d != Hops=%d", topo.Name(), src, dst, len(ids), topo.Hops(src, dst))
 	}
@@ -291,7 +399,7 @@ func TestCMeshSameRouter(t *testing.T) {
 			if c.Hops(a, b) != 0 {
 				t.Fatalf("same-router tiles %d,%d: Hops=%d", a, b, c.Hops(a, b))
 			}
-			if len(c.AppendRoute(nil, a, b)) != 0 {
+			if c.Route(a, b).Hops() != 0 {
 				t.Fatalf("same-router tiles %d,%d: non-empty route", a, b)
 			}
 		}
@@ -343,10 +451,9 @@ func TestDenseLinkIDs(t *testing.T) {
 		n := topo.Tiles()
 		seen := make([]bool, 4*n)
 		idOf := map[Link]int32{}
-		var buf []int32
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				buf = topo.AppendRoute(buf[:0], src, dst)
+				buf := routeIDs(topo, src, dst)
 				if len(buf) != topo.Hops(src, dst) {
 					t.Fatalf("%s %d->%d: %d links, Hops=%d", topo.Name(), src, dst, len(buf), topo.Hops(src, dst))
 				}
@@ -379,4 +486,23 @@ func TestDenseLinkIDs(t *testing.T) {
 			t.Fatalf("%s: routes use %d distinct ids, NumLinks=%d", topo.Name(), len(idOf), topo.NumLinks())
 		}
 	}
+}
+
+// TestRunPacksMaxSide checks that the longest stretch a grid can have, on
+// a maxSide-wide grid, stepping down either axis, survives the Run
+// packing, and that a wider grid is refused.
+func TestRunPacksMaxSide(t *testing.T) {
+	r := maxSide*maxSide - 1 // the last router of the grid
+	for axis, step := range []int{1, maxSide} {
+		got := run(axis, r, -(maxSide - 1), step)
+		if got.First() != linkID(r, axis, -1) || got.Stride() != int32(-4*step) || got.Count() != maxSide-1 {
+			t.Fatalf("axis %d: run unpacks to %d+%d×%d", axis, got.First(), got.Stride(), got.Count())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic for a mesh wider than maxSide")
+		}
+	}()
+	NewMesh(maxSide+1, 1)
 }

@@ -6,6 +6,8 @@
 #      thread count included, since the programs are the same.
 #   2. -threelevel runs are cacheable under -results: a second identical
 #      run is answered from the disk cache and reports the same cycles.
+#   3. A thread count the machine cannot run (-threads 64 on 32 cores)
+#      exits non-zero with a one-line error, not a panic.
 #
 # Fully offline; `make sim-smoke` and CI run this.
 set -eu
@@ -40,6 +42,17 @@ grep -q '^cached    : disk' "$TMP/3l-2.txt" || {
 }
 if [ "$(grep '^cycles' "$TMP/3l-1.txt")" != "$(grep '^cycles' "$TMP/3l-2.txt")" ]; then
     echo "sim-smoke: FAIL: cached -threelevel cycles differ from the fresh run" >&2
+    exit 1
+fi
+
+echo "sim-smoke: -threads 64 on 32 cores..." >&2
+if $SIM -threads 64 >"$TMP/bad.txt" 2>"$TMP/bad.err"; then
+    echo "sim-smoke: FAIL: -threads 64 on 32 cores exited zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$TMP/bad.err")" -ne 1 ] || ! grep -q 'threads' "$TMP/bad.err"; then
+    echo "sim-smoke: FAIL: -threads 64 did not fail with a one-line error:" >&2
+    cat "$TMP/bad.err" >&2
     exit 1
 fi
 
